@@ -3,7 +3,8 @@
 //!
 //! ## Commit-point rules (DESIGN.md §4.19)
 //!
-//! Scorer swaps happen **only** inside [`AdaptiveStream::tick`], after
+//! Scorer swaps happen **only** inside the adaptive stream's
+//! [`Driver::tick`], after
 //! the inner durable tick has assembled its report:
 //!
 //! 1. Already-emitted scores are never revised — a swap changes future
@@ -29,18 +30,18 @@
 //! it by replaying the training samples, and swaps it into the lane's
 //! [`DriftingScorer`] wrapper.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::online::OnlineScorer;
 use hierod_detect::{DetectError, Result};
-use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor};
 use hierod_history::reader::{snapshot, HistoryReader, RangeQuery};
 use hierod_store::storage::Storage;
 use hierod_store::store::StoreOptions;
 use hierod_stream::{
-    ControlEvent, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig,
-    StreamDetector, StreamReport, StreamStats,
+    ControlEvent, Driver, DurableStream, LaneId, LaneKind, LaneStats, Sample, ScorerMode,
+    StreamConfig, StreamDetector, StreamReport, StreamStats,
 };
 
 use crate::drift::MonitorSpec;
@@ -107,7 +108,7 @@ impl Default for RefitPolicy {
 /// Construction with [`AdaptiveStream::open`] (or
 /// [`attach`](AdaptiveStream::attach)) installs the drift-monitor
 /// wrapper; [`passthrough`](AdaptiveStream::passthrough) wraps without
-/// adaptation, in which case every operation delegates 1:1 and the
+/// adaptation, in which case every [`Driver`] call delegates 1:1 and the
 /// finish report is byte-identical to the plain durable stream (pinned
 /// by `tests/adapt_equivalence.rs`).
 pub struct AdaptiveStream<S: Storage> {
@@ -121,8 +122,9 @@ pub struct AdaptiveStream<S: Storage> {
 impl<S: Storage> AdaptiveStream<S> {
     /// Opens (or recovers) a durable stream on `storage` with adaptation
     /// enabled: the stream config is forced to
-    /// [`ScorerMode::Adaptive`] and every pipeline scorer is wrapped in
-    /// a [`DriftingScorer`] built from `monitor`.
+    /// [`ScorerMode::Incremental`] (the monitors watch per-sample scores)
+    /// and every pipeline scorer is wrapped in a [`DriftingScorer`] built
+    /// from `monitor`.
     ///
     /// # Errors
     /// As [`DurableStream::open`].
@@ -134,7 +136,7 @@ impl<S: Storage> AdaptiveStream<S> {
         monitor: MonitorSpec,
         refit: RefitPolicy,
     ) -> Result<Self> {
-        config.mode = ScorerMode::Adaptive;
+        config.mode = ScorerMode::Incremental;
         let (stream, _recovery) = DurableStream::open(policy, config, storage, options)?;
         Ok(Self::attach(stream, monitor, refit))
     }
@@ -166,7 +168,7 @@ impl<S: Storage> AdaptiveStream<S> {
     }
 
     /// Wraps without adaptation: no wrapper is installed and
-    /// [`tick`](Self::tick) delegates without polling monitors. The
+    /// [`Driver::tick`] delegates without polling monitors. The
     /// equivalence tests drive this side-by-side with a plain
     /// [`DurableStream`] and pin byte-identical finish reports.
     pub fn passthrough(inner: DurableStream<S>) -> Self {
@@ -202,116 +204,6 @@ impl<S: Storage> AdaptiveStream<S> {
     /// Unwraps back into the durable stream.
     pub fn into_inner(self) -> DurableStream<S> {
         self.inner
-    }
-
-    /// Delegates to [`DurableStream::control`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
-        self.inner.control(event)
-    }
-
-    /// Delegates to [`DurableStream::machine_up`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn machine_up(
-        &mut self,
-        machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
-        env_sensors: &[String],
-    ) -> Result<()> {
-        self.inner
-            .machine_up(machine, sensors, redundancy, env_sensors)
-    }
-
-    /// Delegates to [`DurableStream::job_start`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn job_start(
-        &mut self,
-        machine: &str,
-        job: &str,
-        start: u64,
-        config: JobConfig,
-    ) -> Result<()> {
-        self.inner.job_start(machine, job, start, config)
-    }
-
-    /// Delegates to [`DurableStream::phase_start`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn phase_start(
-        &mut self,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
-        self.inner.phase_start(machine, kind, sensors)
-    }
-
-    /// Delegates to [`DurableStream::job_complete`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn job_complete(&mut self, machine: &str, caq: CaqResult) -> Result<()> {
-        self.inner.job_complete(machine, caq)
-    }
-
-    /// Delegates to [`DurableStream::ingest`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        self.inner.ingest(lane, sample)
-    }
-
-    /// Delegates to [`DurableStream::rotate`].
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn rotate(&mut self) -> Result<()> {
-        self.inner.rotate()
-    }
-
-    /// Current ingestion counters (drift/refit counters included).
-    pub fn stats(&self) -> StreamStats {
-        self.inner.stats()
-    }
-
-    /// Per-lane counters (drift/refit counters included).
-    pub fn lane_stats(&self) -> std::collections::BTreeMap<LaneId, hierod_stream::LaneStats> {
-        self.inner.lane_stats()
-    }
-
-    /// Ticks the inner stream, then — with adaptation enabled — runs the
-    /// refit pass: polls every lane's drift flag and the schedule, and
-    /// commits any due swaps. The returned report reflects the state
-    /// *before* the swaps (rule 1: emitted scores are never revised).
-    ///
-    /// # Errors
-    /// As [`DurableStream::tick`], plus storage failures from sealing or
-    /// scanning training history.
-    pub fn tick(&mut self) -> Result<StreamReport> {
-        self.ticks += 1;
-        let report = self.inner.tick()?;
-        if self.enabled {
-            self.refit_pass()?;
-        }
-        Ok(report)
-    }
-
-    /// Delegates to [`DurableStream::finish`]. No final refit pass: the
-    /// stream is over, adaptation has nothing left to improve.
-    ///
-    /// # Errors
-    /// As the delegate.
-    pub fn finish(self) -> Result<StreamReport> {
-        self.inner.finish()
     }
 
     /// The refit pass. See the module docs for the commit-point rules.
@@ -434,6 +326,49 @@ impl<S: Storage> AdaptiveStream<S> {
         let floor = last.saturating_sub(window);
         samples.retain(|&(t, _)| t >= floor);
         Ok(Some(samples))
+    }
+}
+
+/// Every call delegates to the wrapped [`DurableStream`] except
+/// [`tick`](Driver::tick), which runs the refit pass afterwards.
+impl<S: Storage> Driver for AdaptiveStream<S> {
+    fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        self.inner.apply(event)
+    }
+
+    fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
+        self.inner.ingest(lane, sample)
+    }
+
+    /// Ticks the inner stream, then — with adaptation enabled — runs the
+    /// refit pass: polls every lane's drift flag and the schedule, and
+    /// commits any due swaps. The returned report reflects the state
+    /// *before* the swaps (rule 1: emitted scores are never revised).
+    ///
+    /// # Errors
+    /// As the inner tick, plus storage failures from sealing or scanning
+    /// training history.
+    fn tick(&mut self) -> Result<StreamReport> {
+        self.ticks += 1;
+        let report = self.inner.tick()?;
+        if self.enabled {
+            self.refit_pass()?;
+        }
+        Ok(report)
+    }
+
+    /// No final refit pass: the stream is over, adaptation has nothing
+    /// left to improve.
+    fn finish(self) -> Result<StreamReport> {
+        self.inner.finish()
+    }
+
+    fn stats(&self) -> StreamStats {
+        self.inner.stats()
+    }
+
+    fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
+        self.inner.lane_stats()
     }
 }
 

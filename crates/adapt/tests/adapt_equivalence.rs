@@ -17,7 +17,7 @@ use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor,
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 use hierod_wire::encode_report;
 

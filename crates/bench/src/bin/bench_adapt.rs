@@ -30,7 +30,7 @@ use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
-use hierod_stream::{DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
+use hierod_stream::{Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
 
 const SENSORS: usize = 4;
 const SAMPLES_PER_LANE: u64 = 24_000;

@@ -28,7 +28,7 @@ use hierod_hierarchy::{JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind
 use hierod_history::{backfill, compact, snapshot, CompactionOptions, HistoryReader, RangeQuery};
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
-use hierod_stream::{DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
+use hierod_stream::{Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
 
 const SENSORS: usize = 4;
 const JOBS: u64 = 16;

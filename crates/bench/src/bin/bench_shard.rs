@@ -28,8 +28,8 @@ use std::time::Instant;
 use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_stream::{
-    ControlEvent, IngestRouter, LaneId, LaneKind, Sample, ScorerMode, ShardSet, ShardedStream,
-    StreamConfig, StreamDetector, Watermark,
+    ControlEvent, Driver, IngestRouter, LaneId, LaneKind, Sample, ScorerMode, ShardSet,
+    ShardedStream, StreamConfig, StreamDetector, Watermark,
 };
 
 /// Deterministic noisy signal: cheap to generate, non-trivial to score.

@@ -28,7 +28,7 @@ use hierod_hierarchy::{JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind
 use hierod_store::store::StoreOptions;
 use hierod_store::{MemStorage, Store, WalRecord};
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamDetector,
+    Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamDetector,
 };
 
 /// Deterministic noisy signal (same generator as `bench_stream`).

@@ -35,8 +35,7 @@ pub mod policy;
 pub mod support;
 
 pub use detect_level::{
-    detect_all_levels, detect_all_levels_per_level_threads, detect_all_levels_with_pool,
-    detect_level, LevelDetections, LevelOutlier,
+    detect_all_levels, detect_all_levels_with_pool, detect_level, LevelDetections, LevelOutlier,
 };
 pub use fusion::FusionRule;
 pub use monitor::{JobAssessment, PlantMonitor, Urgency};

@@ -23,7 +23,7 @@ use hierod_store::store::{parse_hist_name, read_floor, StoreOptions};
 use hierod_store::{segment, MemStorage, Storage};
 use hierod_stream::codec::decode_lane;
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 
 fn lane(machine: &str, sensor: &str, kind: LaneKind) -> LaneId {

@@ -38,7 +38,7 @@ use hierod_history::{
 };
 use hierod_store::tenants::StorageFactory;
 use hierod_stream::tenant::{PlantRegistry, Tenant, TenantConfig, TenantRecovery};
-use hierod_stream::{ControlEvent, LaneId, LaneStats, Sample, StreamReport, StreamStats};
+use hierod_stream::{ControlEvent, Driver, LaneId, LaneStats, Sample, StreamReport, StreamStats};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
@@ -387,7 +387,7 @@ impl<F: StorageFactory> PlantService for RegistryService<F> {
     }
 
     fn control(&mut self, plant: &str, event: &ControlEvent) -> Result<()> {
-        self.tenant_mut(plant)?.control(event)
+        self.tenant_mut(plant)?.apply(event)
     }
 
     fn ingest(&mut self, plant: &str, lane: &LaneId, sample: Sample) -> Result<()> {
@@ -692,7 +692,7 @@ mod tests {
     fn drive_facade(f: &mut RegistryServiceFacade<'_>, plant: &str) {
         let (machine, bed, room) = ("m0", "m0.bed.0", "m0.room");
         let t = f.0.tenant_mut(plant).unwrap();
-        t.control(&ControlEvent::MachineUp {
+        t.apply(&ControlEvent::MachineUp {
             machine: machine.into(),
             sensors: vec![Sensor::new(bed, SensorKind::BedTemperature)],
             redundancy: vec![RedundancyGroup::new(
@@ -702,14 +702,14 @@ mod tests {
             env_sensors: vec![room.to_string()],
         })
         .unwrap();
-        t.control(&ControlEvent::JobStart {
+        t.apply(&ControlEvent::JobStart {
             machine: machine.into(),
             job: "j0".into(),
             start: 0,
             config: JobConfig::new(vec!["p".into()], vec![1.0]),
         })
         .unwrap();
-        t.control(&ControlEvent::PhaseStart {
+        t.apply(&ControlEvent::PhaseStart {
             machine: machine.into(),
             kind: PhaseKind::WarmUp,
             sensors: vec![bed.to_string()],
@@ -734,7 +734,7 @@ mod tests {
             )
             .unwrap();
         }
-        t.control(&ControlEvent::JobComplete {
+        t.apply(&ControlEvent::JobComplete {
             machine: machine.into(),
             caq: CaqResult::new(vec!["q".into()], vec![0.9], true),
         })

@@ -1,14 +1,15 @@
 //! [`StreamDetector`]: online hierarchical detection over ingested samples.
 //!
-//! The driver consumes two interleaved inputs:
+//! The detector is the innermost [`Driver`]: it consumes two interleaved
+//! inputs:
 //!
-//! * **Control events** — machine/job/phase lifecycle calls
-//!   ([`StreamDetector::machine_up`], [`StreamDetector::job_start`],
-//!   [`StreamDetector::phase_start`], [`StreamDetector::job_complete`])
-//!   that mirror the production process structure of the paper's Fig. 2.
-//! * **Samples** — per-sensor readings arriving through [`IngestRouter`]
-//!   lanes ([`StreamDetector::drain`]) or directly
-//!   ([`StreamDetector::ingest`]).
+//! * **Control events** — machine/job/phase lifecycle events
+//!   ([`ControlEvent`], applied through [`StreamDetector::apply`] or the
+//!   typed [`Driver`] calls such as [`Driver::machine_up`]) that mirror
+//!   the production process structure of the paper's Fig. 2.
+//! * **Samples** — per-sensor readings arriving through
+//!   [`IngestRouter`](crate::IngestRouter) lanes ([`Driver::drain`]) or
+//!   directly ([`StreamDetector::ingest`]).
 //!
 //! Each open (machine, job, phase, sensor) series and each environment
 //! sensor gets its own **pipeline**: a [`Watermark`] reorder stage feeding
@@ -34,8 +35,14 @@
 //! * [`ScorerMode::Incremental`] uses true per-sample scorers
 //!   ([`IncrementalAr`], [`RollingRobustZ`], hopping [`WindowedBatch`]
 //!   fallback): bounded memory and immediate scores, approximating batch.
+//!
+//! In either mode, a scorer wrapper installed with
+//! [`StreamDetector::set_scorer_wrapper`] (the `hierod-adapt` drift
+//! monitor) wraps every pipeline opened afterwards; without one, scorers
+//! run bare.
 
 use std::collections::BTreeMap;
+use std::ops::AddAssign;
 
 use hierod_core::detect_level::{detect_level, emit_series, LevelDetections};
 use hierod_core::pipeline::build_report;
@@ -52,7 +59,8 @@ use hierod_hierarchy::{
 use hierod_timeseries::TimeSeries;
 use std::sync::Arc;
 
-use crate::router::{IngestRouter, LaneId, LaneKind, Sample};
+use crate::driver::{sum_lane_stats, sum_stats, Driver};
+use crate::router::{LaneId, LaneKind, Sample};
 use crate::watermark::{LatenessStats, Watermark};
 
 /// How phase/environment series are scored online.
@@ -66,13 +74,6 @@ pub enum ScorerMode {
     /// [`IncrementalAr`], sliding/robust z-choices run [`RollingRobustZ`],
     /// everything else falls back to a hopping [`WindowedBatch`].
     Incremental,
-    /// [`Incremental`](ScorerMode::Incremental) scorers, each passed
-    /// through the detector's scorer wrapper (see
-    /// [`StreamDetector::set_scorer_wrapper`]) so an adaptive layer — the
-    /// `hierod-adapt` drift monitors — can interpose on every pipeline.
-    /// With no wrapper installed this mode scores identically to
-    /// `Incremental`.
-    Adaptive,
 }
 
 /// Configuration of a [`StreamDetector`].
@@ -111,12 +112,25 @@ pub struct StreamStats {
     /// WAL records rejected as corrupt during recovery (always 0 for a
     /// purely in-memory detector; the durable wrapper fills it in).
     pub corrupt_records: u64,
-    /// Drift events emitted by adaptive scorer wrappers (always 0 outside
-    /// [`ScorerMode::Adaptive`]).
+    /// Drift events emitted by adaptive scorer wrappers (always 0 with
+    /// no wrapper installed).
     pub drift_events: u64,
     /// Scorer refits performed by adaptive scorer wrappers (always 0
-    /// outside [`ScorerMode::Adaptive`]).
+    /// with no wrapper installed).
     pub refits: u64,
+}
+
+impl AddAssign for StreamStats {
+    fn add_assign(&mut self, o: Self) {
+        self.samples_ingested += o.samples_ingested;
+        self.samples_released += o.samples_released;
+        self.late_dropped += o.late_dropped;
+        self.duplicates_dropped += o.duplicates_dropped;
+        self.series_failed += o.series_failed;
+        self.corrupt_records += o.corrupt_records;
+        self.drift_events += o.drift_events;
+        self.refits += o.refits;
+    }
 }
 
 /// Per-lane ingestion counters, keyed by [`LaneId`] in [`StreamReport`].
@@ -137,6 +151,17 @@ pub struct LaneStats {
     pub drift_events: u64,
     /// Scorer refits performed on this lane by adaptive scorer wrappers.
     pub refits: u64,
+}
+
+impl AddAssign for LaneStats {
+    fn add_assign(&mut self, o: Self) {
+        self.released += o.released;
+        self.late_dropped += o.late_dropped;
+        self.duplicates_dropped += o.duplicates_dropped;
+        self.corrupt_records += o.corrupt_records;
+        self.drift_events += o.drift_events;
+        self.refits += o.refits;
+    }
 }
 
 /// The output of a tick or finish: per-level detections plus the
@@ -318,6 +343,19 @@ impl Pipeline {
         }
     }
 
+    /// This pipeline's share of its lane's counters.
+    fn lane_stats(&self) -> LaneStats {
+        let w = self.watermark.stats();
+        LaneStats {
+            released: self.timestamps.len() as u64,
+            late_dropped: w.late_dropped as u64,
+            duplicates_dropped: w.duplicates_dropped as u64,
+            corrupt_records: 0,
+            drift_events: self.scorer.drift_events(),
+            refits: self.scorer.refits(),
+        }
+    }
+
     /// The released history as a series, when non-degenerate.
     fn series(&self, name: &str) -> Option<TimeSeries> {
         TimeSeries::new(name, self.timestamps.clone(), self.values.clone()).ok()
@@ -378,9 +416,9 @@ pub struct StreamDetector {
     machines: Vec<(String, MachineState)>,
     scratch: Vec<(u64, f64)>,
     samples_ingested: u64,
-    /// Wrapper applied to every scorer built under
-    /// [`ScorerMode::Adaptive`] (e.g. the `hierod-adapt` drift monitor).
-    /// Lives outside [`StreamConfig`] so the config stays `Copy`.
+    /// Wrapper applied to every scorer built while installed (e.g. the
+    /// `hierod-adapt` drift monitor); `None` runs scorers bare. Lives
+    /// outside [`StreamConfig`] so the config stays `Copy`.
     scorer_wrapper: Option<Arc<ScorerWrapper>>,
 }
 
@@ -451,8 +489,8 @@ impl StreamDetector {
         })
     }
 
-    /// Installs the wrapper applied to every scorer built under
-    /// [`ScorerMode::Adaptive`]. Only pipelines opened *after* the call
+    /// Installs the wrapper applied to every scorer built from now on, in
+    /// either [`ScorerMode`]. Only pipelines opened *after* the call
     /// are wrapped — install before driving control events (the adapt
     /// layer re-wraps existing pipelines through
     /// [`visit_scorers`](Self::visit_scorers) when attaching late).
@@ -498,11 +536,27 @@ impl StreamDetector {
     }
 
     /// Applies one lifecycle event in value form — the dispatch used by
-    /// the durability WAL replay, the shard broadcast path, and the
-    /// tenant registry.
+    /// the durability WAL replay, the shard broadcast path, the tenant
+    /// registry, and the typed [`Driver`] calls.
+    ///
+    /// * [`ControlEvent::MachineUp`] registers a machine: its sensor
+    ///   inventory, redundancy groups (the support computation needs
+    ///   them), and environment sensors, whose pipelines open immediately
+    ///   and stay open until finish.
+    /// * [`ControlEvent::JobStart`] opens a job on a machine whose
+    ///   previous job was completed.
+    /// * [`ControlEvent::PhaseStart`] opens a phase within the machine's
+    ///   open job, finalizing the previous phase's pipelines (their
+    ///   watermarks flush and their scorers finish — drain the router
+    ///   first so no sample of the old phase is still in flight).
+    /// * [`ControlEvent::JobComplete`] completes the machine's open job
+    ///   with its CAQ result, finalizing the last phase's pipelines.
     ///
     /// # Errors
-    /// As the corresponding lifecycle method.
+    /// A machine id registered twice; a job start on a machine with an
+    /// open job; [`DetectError::Missing`] for an unregistered machine or,
+    /// for phase start and job complete, a machine without an open job;
+    /// scorer construction failures for newly opened pipelines.
     pub fn apply(&mut self, event: &ControlEvent) -> Result<()> {
         match event {
             ControlEvent::MachineUp {
@@ -510,34 +564,27 @@ impl StreamDetector {
                 sensors,
                 redundancy,
                 env_sensors,
-            } => self.machine_up(machine, sensors.clone(), redundancy.clone(), env_sensors),
+            } => self.up_machine(machine, sensors, redundancy, env_sensors),
             ControlEvent::JobStart {
                 machine,
                 job,
                 start,
                 config,
-            } => self.job_start(machine, job, *start, config.clone()),
+            } => self.start_job(machine, job, *start, config),
             ControlEvent::PhaseStart {
                 machine,
                 kind,
                 sensors,
-            } => self.phase_start(machine, *kind, sensors),
-            ControlEvent::JobComplete { machine, caq } => self.job_complete(machine, caq.clone()),
+            } => self.start_phase(machine, *kind, sensors),
+            ControlEvent::JobComplete { machine, caq } => self.complete_job(machine, caq),
         }
     }
 
-    /// Registers a machine: its sensor inventory, redundancy groups (the
-    /// support computation needs them), and environment sensors, whose
-    /// pipelines open immediately and stay open until finish.
-    ///
-    /// # Errors
-    /// Rejects a machine id registered twice, and propagates scorer
-    /// construction failures for the environment pipelines.
-    pub fn machine_up(
+    fn up_machine(
         &mut self,
         machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
+        sensors: &[Sensor],
+        redundancy: &[RedundancyGroup],
         env_sensors: &[String],
     ) -> Result<()> {
         if self.machines.iter().any(|(id, _)| id == machine) {
@@ -559,8 +606,8 @@ impl StreamDetector {
         self.machines.push((
             machine.to_string(),
             MachineState {
-                sensors,
-                redundancy,
+                sensors: sensors.to_vec(),
+                redundancy: redundancy.to_vec(),
                 jobs: Vec::new(),
                 env,
             },
@@ -568,17 +615,12 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// Opens a job on a machine. The previous job must have been completed.
-    ///
-    /// # Errors
-    /// [`DetectError::Missing`] for an unregistered machine; invalid when
-    /// the machine still has an open job.
-    pub fn job_start(
+    fn start_job(
         &mut self,
         machine: &str,
         job: &str,
         start: u64,
-        config: JobConfig,
+        config: &JobConfig,
     ) -> Result<()> {
         let m = self.machine_mut(machine)?;
         if m.open_job_mut().is_some() {
@@ -590,27 +632,14 @@ impl StreamDetector {
         m.jobs.push(JobState {
             id: job.to_string(),
             start,
-            config,
+            config: config.clone(),
             phases: Vec::new(),
             caq: None,
         });
         Ok(())
     }
 
-    /// Opens a phase within the machine's open job, finalizing the
-    /// previous phase's pipelines (their watermarks flush and their
-    /// scorers finish — drain the router first so no sample of the old
-    /// phase is still in flight).
-    ///
-    /// # Errors
-    /// [`DetectError::Missing`] without a registered machine or open job;
-    /// propagates scorer construction failures.
-    pub fn phase_start(
-        &mut self,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
+    fn start_phase(&mut self, machine: &str, kind: PhaseKind, sensors: &[String]) -> Result<()> {
         let mut pipes = Vec::with_capacity(sensors.len());
         for name in sensors {
             let pipe = if self.owns(machine, name) {
@@ -621,50 +650,36 @@ impl StreamDetector {
             };
             pipes.push((name.clone(), pipe));
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            let m = self.machine_mut(machine)?;
-            let Some(job) = m.open_job_mut() else {
-                return Err(DetectError::Missing {
-                    what: format!("open job on machine {machine}"),
-                });
-            };
-            if let Some(prev) = job.phases.last_mut() {
-                for pipe in prev.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                    pipe.finish(&mut scratch);
-                }
-            }
-            job.phases.push(PhaseState { kind, pipes });
-            Ok(())
-        })();
-        self.scratch = scratch;
-        result
+        self.close_last_phase(machine)?
+            .phases
+            .push(PhaseState { kind, pipes });
+        Ok(())
     }
 
-    /// Completes the machine's open job with its CAQ result, finalizing
-    /// the last phase's pipelines.
-    ///
-    /// # Errors
-    /// [`DetectError::Missing`] without a registered machine or open job.
-    pub fn job_complete(&mut self, machine: &str, caq: CaqResult) -> Result<()> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = (|| {
-            let m = self.machine_mut(machine)?;
-            let Some(job) = m.open_job_mut() else {
-                return Err(DetectError::Missing {
-                    what: format!("open job on machine {machine}"),
-                });
-            };
-            if let Some(last) = job.phases.last_mut() {
-                for pipe in last.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                    pipe.finish(&mut scratch);
-                }
+    fn complete_job(&mut self, machine: &str, caq: &CaqResult) -> Result<()> {
+        self.close_last_phase(machine)?.caq = Some(caq.clone());
+        Ok(())
+    }
+
+    /// Finalizes the last phase of `machine`'s open job (its watermarks
+    /// flush, its scorers finish) and returns that job.
+    fn close_last_phase(&mut self, machine: &str) -> Result<&mut JobState> {
+        let Some((_, m)) = self.machines.iter_mut().find(|(id, _)| id == machine) else {
+            return Err(DetectError::Missing {
+                what: format!("machine {machine}"),
+            });
+        };
+        let Some(job) = m.open_job_mut() else {
+            return Err(DetectError::Missing {
+                what: format!("open job on machine {machine}"),
+            });
+        };
+        if let Some(last) = job.phases.last_mut() {
+            for pipe in last.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
+                pipe.finish(&mut self.scratch);
             }
-            job.caq = Some(caq);
-            Ok(())
-        })();
-        self.scratch = scratch;
-        result
+        }
+        Ok(job)
     }
 
     /// Routes one sample into its pipeline: phase lanes go to the current
@@ -722,97 +737,6 @@ impl StreamDetector {
         Ok(())
     }
 
-    /// Drains every lane of the router into the detector, returning how
-    /// many samples were routed.
-    ///
-    /// # Errors
-    /// The first routing error (remaining samples of that drain pass are
-    /// still consumed from the rings, so producers are never wedged).
-    pub fn drain(&mut self, router: &mut IngestRouter) -> Result<usize> {
-        let mut first_err = None;
-        let n = router.drain(|lane, sample| {
-            if let Err(e) = self.ingest(lane, sample) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
-    }
-
-    /// Current ingestion counters.
-    pub fn stats(&self) -> StreamStats {
-        let mut stats = StreamStats {
-            samples_ingested: self.samples_ingested,
-            ..StreamStats::default()
-        };
-        let mut tally = |pipe: &Pipeline| {
-            stats.samples_released += pipe.timestamps.len() as u64;
-            let w = pipe.watermark.stats();
-            stats.late_dropped += w.late_dropped as u64;
-            stats.duplicates_dropped += w.duplicates_dropped as u64;
-            if pipe.failed {
-                stats.series_failed += 1;
-            }
-            stats.drift_events += pipe.scorer.drift_events();
-            stats.refits += pipe.scorer.refits();
-        };
-        for (_, m) in &self.machines {
-            for pipe in m.env.iter().filter_map(|(_, p)| p.as_ref()) {
-                tally(pipe);
-            }
-            for job in &m.jobs {
-                for phase in &job.phases {
-                    for pipe in phase.pipes.iter().filter_map(|(_, p)| p.as_ref()) {
-                        tally(pipe);
-                    }
-                }
-            }
-        }
-        stats
-    }
-
-    /// Per-lane release/drop counters, aggregated over every pipeline
-    /// (open or closed) the lane ever fed.
-    pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
-        let mut out: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
-        let mut tally = |machine: &str, sensor: &str, kind: LaneKind, pipe: &Pipeline| {
-            let entry = out
-                .entry(LaneId {
-                    machine: machine.to_string(),
-                    sensor: sensor.to_string(),
-                    kind,
-                })
-                .or_default();
-            entry.released += pipe.timestamps.len() as u64;
-            let w = pipe.watermark.stats();
-            entry.late_dropped += w.late_dropped as u64;
-            entry.duplicates_dropped += w.duplicates_dropped as u64;
-            entry.drift_events += pipe.scorer.drift_events();
-            entry.refits += pipe.scorer.refits();
-        };
-        for (machine, m) in &self.machines {
-            for (name, pipe) in m.env.iter().filter_map(|(n, p)| Some((n, p.as_ref()?))) {
-                tally(machine, name, LaneKind::Environment, pipe);
-            }
-            for job in &m.jobs {
-                for phase in &job.phases {
-                    for (name, pipe) in phase
-                        .pipes
-                        .iter()
-                        .filter_map(|(n, p)| Some((n, p.as_ref()?)))
-                    {
-                        tally(machine, name, LaneKind::Phase, pipe);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Every open-or-closed pipeline with its lane coordinates, in plant
     /// order: each machine's environment pipelines first, then its jobs'
     /// phases in execution order. The durability layer iterates this to
@@ -846,6 +770,30 @@ impl StreamDetector {
             }
         }
         slots
+    }
+
+    /// Read-only [`pipelines_mut`](Self::pipelines_mut): every pipeline as
+    /// (machine, sensor, lane kind, pipeline), in the same plant order.
+    fn pipelines(&self) -> impl Iterator<Item = (&str, &str, LaneKind, &Pipeline)> {
+        self.machines.iter().flat_map(|(machine, m)| {
+            let env = m.env.iter().filter_map(move |(name, p)| {
+                Some((
+                    machine.as_str(),
+                    name.as_str(),
+                    LaneKind::Environment,
+                    p.as_ref()?,
+                ))
+            });
+            let phases = m.jobs.iter().flat_map(|j| &j.phases).flat_map(|p| &p.pipes);
+            env.chain(phases.filter_map(move |(name, p)| {
+                Some((
+                    machine.as_str(),
+                    name.as_str(),
+                    LaneKind::Phase,
+                    p.as_ref()?,
+                ))
+            }))
+        })
     }
 
     /// Credits samples that were ingested before a crash and restored from
@@ -884,17 +832,8 @@ impl StreamDetector {
     /// detect `TaskPool`) before the merged assembly.
     pub(crate) fn finalize_pipelines(&mut self) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        for (_, m) in self.machines.iter_mut() {
-            for pipe in m.env.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                pipe.finish(&mut scratch);
-            }
-            for job in m.jobs.iter_mut() {
-                for phase in job.phases.iter_mut() {
-                    for pipe in phase.pipes.iter_mut().filter_map(|(_, p)| p.as_mut()) {
-                        pipe.finish(&mut scratch);
-                    }
-                }
-            }
+        for slot in self.pipelines_mut() {
+            slot.pipe.finish(&mut scratch);
         }
         self.scratch = scratch;
     }
@@ -940,24 +879,22 @@ impl StreamDetector {
     }
 
     /// Builds the online scorer for a point algorithm under the configured
-    /// mode, applying the adaptive wrapper when one is installed.
+    /// mode, applying the scorer wrapper when one is installed.
     fn build_scorer(&self, algo: PointAlgo, kind: LaneKind) -> Result<Box<dyn OnlineScorer>> {
         let scorer = self.build_bare_scorer(algo)?;
-        match (&self.config.mode, &self.scorer_wrapper) {
-            (ScorerMode::Adaptive, Some(wrap)) => Ok(wrap(kind, scorer)),
-            _ => Ok(scorer),
-        }
+        Ok(match &self.scorer_wrapper {
+            Some(wrap) => wrap(kind, scorer),
+            None => scorer,
+        })
     }
 
-    /// Builds the online scorer without the adaptive wrapper.
-    /// [`ScorerMode::Adaptive`] builds the same incremental scorers as
-    /// [`ScorerMode::Incremental`] — the modes differ only in wrapping.
+    /// Builds the online scorer without the wrapper.
     fn build_bare_scorer(&self, algo: PointAlgo) -> Result<Box<dyn OnlineScorer>> {
         match self.config.mode {
             ScorerMode::BatchEquivalent => Ok(Box::new(WindowedBatch::full_history(
                 engine::build(&algo.spec())?,
             ))),
-            ScorerMode::Incremental | ScorerMode::Adaptive => match algo {
+            ScorerMode::Incremental => match algo {
                 PointAlgo::Autoregressive { order } => Ok(Box::new(IncrementalAr::new(order, 32)?)),
                 PointAlgo::SlidingZ { window } => Ok(Box::new(RollingRobustZ::new(window.max(3))?)),
                 PointAlgo::RobustZ | PointAlgo::GlobalZ => Ok(Box::new(RollingRobustZ::new(256)?)),
@@ -966,6 +903,57 @@ impl StreamDetector {
                 )),
             },
         }
+    }
+}
+
+/// Forwards to the inherent methods, which stay inherent so callers that
+/// drive a bare detector need no trait import (and can tick through a
+/// shared reference).
+impl Driver for StreamDetector {
+    fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        StreamDetector::apply(self, event)
+    }
+
+    fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
+        StreamDetector::ingest(self, lane, sample)
+    }
+
+    fn tick(&mut self) -> Result<StreamReport> {
+        StreamDetector::tick(self)
+    }
+
+    fn finish(self) -> Result<StreamReport> {
+        StreamDetector::finish(self)
+    }
+
+    fn stats(&self) -> StreamStats {
+        let mut stats = StreamStats {
+            samples_ingested: self.samples_ingested,
+            ..StreamStats::default()
+        };
+        for (_, _, _, pipe) in self.pipelines() {
+            let lane = pipe.lane_stats();
+            stats.samples_released += lane.released;
+            stats.late_dropped += lane.late_dropped;
+            stats.duplicates_dropped += lane.duplicates_dropped;
+            stats.series_failed += u64::from(pipe.failed);
+            stats.drift_events += lane.drift_events;
+            stats.refits += lane.refits;
+        }
+        stats
+    }
+
+    fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
+        let mut out: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
+        for (machine, sensor, kind, pipe) in self.pipelines() {
+            let id = LaneId {
+                machine: machine.to_string(),
+                sensor: sensor.to_string(),
+                kind,
+            };
+            *out.entry(id).or_default() += pipe.lane_stats();
+        }
+        out
     }
 }
 
@@ -1009,33 +997,11 @@ pub(crate) fn assemble_multi(shards: &[&StreamDetector]) -> Result<StreamReport>
         detections.insert(level, detect_level(&plant, level, policy)?);
     }
     let report = build_report(&plant, Level::Phase, &detections, policy)?;
-    let mut stats = StreamStats::default();
-    let mut lane_stats: BTreeMap<LaneId, LaneStats> = BTreeMap::new();
-    for shard in shards {
-        let s = shard.stats();
-        stats.samples_ingested += s.samples_ingested;
-        stats.samples_released += s.samples_released;
-        stats.late_dropped += s.late_dropped;
-        stats.duplicates_dropped += s.duplicates_dropped;
-        stats.series_failed += s.series_failed;
-        stats.corrupt_records += s.corrupt_records;
-        stats.drift_events += s.drift_events;
-        stats.refits += s.refits;
-        for (lane, l) in shard.lane_stats() {
-            let entry = lane_stats.entry(lane).or_default();
-            entry.released += l.released;
-            entry.late_dropped += l.late_dropped;
-            entry.duplicates_dropped += l.duplicates_dropped;
-            entry.corrupt_records += l.corrupt_records;
-            entry.drift_events += l.drift_events;
-            entry.refits += l.refits;
-        }
-    }
     Ok(StreamReport {
         detections,
         report,
-        stats,
-        lane_stats,
+        stats: sum_stats(shards.iter().copied()),
+        lane_stats: sum_lane_stats(shards.iter().copied()),
     })
 }
 

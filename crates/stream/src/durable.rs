@@ -17,9 +17,8 @@
 //! * A **sample** is journalled before [`StreamDetector::ingest`] runs,
 //!   under the store's group-commit batching. A sample the detector then
 //!   rejects (no open pipeline) is replayed and re-rejected identically.
-//! * [`DurableStream::tick`] and [`DurableStream::finish`] hard-commit
-//!   the WAL first, so any score ever exposed to a caller is backed by
-//!   durable input.
+//! * [`Driver::tick`] and [`Driver::finish`] hard-commit the WAL first,
+//!   so any score ever exposed to a caller is backed by durable input.
 //!
 //! ## Rotation and recovery
 //!
@@ -50,7 +49,6 @@ use std::io;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::{DetectError, Result};
-use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor};
 use hierod_store::segment::{ControlRecord, LaneDef, SegmentChunk, SegmentDraft};
 use hierod_store::storage::Storage;
 use hierod_store::store::{RecoveryStats, Store, StoreOptions};
@@ -60,22 +58,25 @@ use crate::codec::{decode_control, decode_lane, encode_control, encode_lane};
 use crate::detector::{
     ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport, StreamStats,
 };
-use crate::router::{IngestRouter, LaneId, Sample};
+use crate::driver::Driver;
+use crate::router::{LaneId, Sample};
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
     DetectError::Substrate(format!("store: {e}"))
 }
 
-/// Stamps every pipeline the control `seq` just opened. Pipelines only
-/// come into existence through control events, so "untagged" means
+/// Applies control `seq` and stamps every pipeline it opened. Pipelines
+/// only come into existence through control events, so "untagged" means
 /// "created by the event that was just applied".
-fn tag_new_pipelines(inner: &mut StreamDetector, seq: u64) {
+fn apply_tagged(inner: &mut StreamDetector, event: &ControlEvent, seq: u64) -> Result<()> {
+    inner.apply(event)?;
     for slot in inner.pipelines_mut() {
         if slot.pipe.opened_seq.is_none() {
             slot.pipe.opened_seq = Some(seq);
         }
     }
+    Ok(())
 }
 
 /// What [`DurableStream::open`] rebuilt and repaired.
@@ -216,10 +217,10 @@ impl<S: Storage> DurableStream<S> {
                 match item {
                     Item::Control(c) => {
                         next_seq = next_seq.max(c.seq.saturating_add(1));
+                        // A control rejected before the crash is
+                        // rejected again here, with no effect either way.
                         if let Some(event) = decode_control(&c.payload) {
-                            if inner.apply(&event).is_ok() {
-                                tag_new_pipelines(&mut inner, c.seq);
-                            }
+                            let _ = apply_tagged(&mut inner, &event, c.seq);
                         }
                     }
                     Item::Chunk(ch) => {
@@ -277,9 +278,7 @@ impl<S: Storage> DurableStream<S> {
                         payload: payload.clone(),
                     });
                     if let Some(event) = decode_control(payload) {
-                        if inner.apply(&event).is_ok() {
-                            tag_new_pipelines(&mut inner, *seq);
-                        }
+                        let _ = apply_tagged(&mut inner, &event, *seq);
                     }
                 }
                 WalRecord::Sample {
@@ -398,163 +397,6 @@ impl<S: Storage> DurableStream<S> {
         Ok(seq)
     }
 
-    /// Journals (fsynced) and applies one control event — the value-form
-    /// entry point the tenant registry and shard broadcast use.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
-        let seq = self.journal_control(encode_control(event))?;
-        let result = self.inner.apply(event);
-        if result.is_ok() {
-            tag_new_pipelines(&mut self.inner, seq);
-        }
-        result
-    }
-
-    /// Durable [`StreamDetector::machine_up`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn machine_up(
-        &mut self,
-        machine: &str,
-        sensors: Vec<Sensor>,
-        redundancy: Vec<RedundancyGroup>,
-        env_sensors: &[String],
-    ) -> Result<()> {
-        self.control(&ControlEvent::MachineUp {
-            machine: machine.to_string(),
-            sensors,
-            redundancy,
-            env_sensors: env_sensors.to_vec(),
-        })
-    }
-
-    /// Durable [`StreamDetector::job_start`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn job_start(
-        &mut self,
-        machine: &str,
-        job: &str,
-        start: u64,
-        config: JobConfig,
-    ) -> Result<()> {
-        self.control(&ControlEvent::JobStart {
-            machine: machine.to_string(),
-            job: job.to_string(),
-            start,
-            config,
-        })
-    }
-
-    /// Durable [`StreamDetector::phase_start`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn phase_start(
-        &mut self,
-        machine: &str,
-        kind: PhaseKind,
-        sensors: &[String],
-    ) -> Result<()> {
-        self.control(&ControlEvent::PhaseStart {
-            machine: machine.to_string(),
-            kind,
-            sensors: sensors.to_vec(),
-        })
-    }
-
-    /// Durable [`StreamDetector::job_complete`].
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then the inner
-    /// detector's lifecycle errors.
-    pub fn job_complete(&mut self, machine: &str, caq: CaqResult) -> Result<()> {
-        self.control(&ControlEvent::JobComplete {
-            machine: machine.to_string(),
-            caq,
-        })
-    }
-
-    /// Durable [`StreamDetector::ingest`]: the sample is journalled
-    /// (group-committed) before the detector sees it, so a crash never
-    /// loses an accepted sample that a later fsync covered.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`]; routing errors
-    /// from the inner detector (the sample is journalled regardless —
-    /// replay repeats the rejection).
-    pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let n = self.lane_no(lane)?;
-        self.store
-            .append(&WalRecord::Sample {
-                lane: n,
-                timestamp: sample.timestamp,
-                value: sample.value,
-            })
-            .map_err(substrate)?;
-        *self.delivered.entry(lane.clone()).or_insert(0) += 1;
-        self.inner.ingest(lane, sample)
-    }
-
-    /// Durable [`StreamDetector::drain`].
-    ///
-    /// # Errors
-    /// The first journaling or routing error; remaining samples of the
-    /// pass are still consumed so producers are never wedged.
-    pub fn drain(&mut self, router: &mut IngestRouter) -> Result<usize> {
-        let mut first_err = None;
-        let n = router.drain(|lane, sample| {
-            if let Err(e) = self.ingest(lane, sample) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
-    }
-
-    /// Hard-commits the WAL, then assembles an interim report — every
-    /// score it exposes is backed by durable input.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`]; upper-level
-    /// detector failures as in [`StreamDetector::tick`].
-    pub fn tick(&mut self) -> Result<StreamReport> {
-        self.store.commit().map_err(substrate)?;
-        let mut report = self.inner.tick()?;
-        self.patch_report(&mut report);
-        Ok(report)
-    }
-
-    /// Hard-commits the WAL, then finalizes every pipeline and
-    /// assembles the final report.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`]; upper-level
-    /// detector failures as in [`StreamDetector::finish`].
-    pub fn finish(mut self) -> Result<StreamReport> {
-        self.store.commit().map_err(substrate)?;
-        let corrupt = self.corrupt_records;
-        let by_lane = std::mem::take(&mut self.corrupt_by_lane);
-        let mut report = self.inner.finish()?;
-        report.stats.corrupt_records = corrupt;
-        for (lane, n) in by_lane {
-            report.lane_stats.entry(lane).or_default().corrupt_records = n;
-        }
-        Ok(report)
-    }
-
     /// Seals everything released so far into an immutable columnar
     /// segment and starts a fresh WAL whose opening records are the
     /// samples still buffered in watermarks. Call between jobs (or on a
@@ -671,24 +513,6 @@ impl<S: Storage> DurableStream<S> {
         Ok(())
     }
 
-    /// Current counters, with recovery corruption folded in.
-    pub fn stats(&self) -> StreamStats {
-        let mut stats = self.inner.stats();
-        stats.corrupt_records = self.corrupt_records;
-        stats
-    }
-
-    /// Per-lane release/drop counters with recovery corruption folded
-    /// in — the live query surface: unlike walking a [`StreamReport`],
-    /// this never runs detection, so operators can poll it cheaply.
-    pub fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
-        let mut out = self.inner.lane_stats();
-        for (lane, &n) in &self.corrupt_by_lane {
-            out.entry(lane.clone()).or_default().corrupt_records += n;
-        }
-        out
-    }
-
     /// Per-lane count of samples made durable (journalled, whether or
     /// not the detector accepted them). A resuming client resends each
     /// lane's stream starting at this index.
@@ -715,7 +539,7 @@ impl<S: Storage> DurableStream<S> {
     /// deterministically on recovery from the journalled inputs, so
     /// replacing one does not touch the durability contract. Driving
     /// lifecycle methods directly on the returned detector (instead of
-    /// through [`DurableStream::control`]) would bypass the WAL and must
+    /// through this stream's [`Driver::apply`]) would bypass the WAL and must
     /// not be done.
     pub fn detector_mut(&mut self) -> &mut StreamDetector {
         &mut self.inner
@@ -737,12 +561,90 @@ impl<S: Storage> DurableStream<S> {
     }
 }
 
+/// Journal-at-offer-time driving: see the module docs.
+impl<S: Storage> Driver for DurableStream<S> {
+    /// Journals (fsynced) and applies one control event.
+    ///
+    /// # Errors
+    /// Storage failures as [`DetectError::Substrate`], then the inner
+    /// detector's lifecycle errors.
+    fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        let seq = self.journal_control(encode_control(event))?;
+        apply_tagged(&mut self.inner, event, seq)
+    }
+
+    /// The sample is journalled (group-committed) before the detector
+    /// sees it, so a crash never loses an accepted sample that a later
+    /// fsync covered.
+    ///
+    /// # Errors
+    /// Storage failures as [`DetectError::Substrate`]; routing errors
+    /// from the inner detector (the sample is journalled regardless —
+    /// replay repeats the rejection).
+    fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
+        let n = self.lane_no(lane)?;
+        self.store
+            .append(&WalRecord::Sample {
+                lane: n,
+                timestamp: sample.timestamp,
+                value: sample.value,
+            })
+            .map_err(substrate)?;
+        *self.delivered.entry(lane.clone()).or_insert(0) += 1;
+        self.inner.ingest(lane, sample)
+    }
+
+    /// Hard-commits the WAL, then assembles an interim report — every
+    /// score it exposes is backed by durable input.
+    ///
+    /// # Errors
+    /// Storage failures as [`DetectError::Substrate`]; upper-level
+    /// detector failures as in [`StreamDetector::tick`].
+    fn tick(&mut self) -> Result<StreamReport> {
+        self.commit_wal()?;
+        let mut report = self.inner.tick()?;
+        self.patch_report(&mut report);
+        Ok(report)
+    }
+
+    /// Hard-commits the WAL, then finalizes every pipeline and
+    /// assembles the final report.
+    ///
+    /// # Errors
+    /// Storage failures as [`DetectError::Substrate`]; upper-level
+    /// detector failures as in [`StreamDetector::finish`].
+    fn finish(mut self) -> Result<StreamReport> {
+        self.finalize_pipelines()?;
+        let mut report = self.inner.tick()?;
+        self.patch_report(&mut report);
+        Ok(report)
+    }
+
+    /// Current counters, with recovery corruption folded in.
+    fn stats(&self) -> StreamStats {
+        let mut stats = self.inner.stats();
+        stats.corrupt_records = self.corrupt_records;
+        stats
+    }
+
+    /// Per-lane counters with recovery corruption folded in — the live
+    /// query surface: unlike walking a [`StreamReport`], this never runs
+    /// detection, so operators can poll it cheaply.
+    fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
+        let mut out = self.inner.lane_stats();
+        for (lane, &n) in &self.corrupt_by_lane {
+            out.entry(lane.clone()).or_default().corrupt_records += n;
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detector::ScorerMode;
     use crate::router::LaneKind;
-    use hierod_hierarchy::SensorKind;
+    use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
     use hierod_store::MemStorage;
 
     fn lane(machine: &str, sensor: &str, kind: LaneKind) -> LaneId {

@@ -19,6 +19,9 @@
 //!   ticks, emitting the same ⟨global score, outlierness, support⟩
 //!   triples as the batch path (the stream/batch equivalence test pins
 //!   this).
+//! * [`driver`] — the [`Driver`] trait: the one control/ingest/tick/
+//!   finish/stats surface every in-process driver below implements, with
+//!   the typed lifecycle calls as provided methods.
 //! * [`durable`] — [`DurableStream`]: wraps the detector in a
 //!   [`hierod_store`] write-ahead log + columnar segment store, making
 //!   every accepted sample and control event crash-durable; on restart it
@@ -41,6 +44,7 @@
 
 pub mod codec;
 pub mod detector;
+pub mod driver;
 pub mod durable;
 pub mod ring;
 pub mod router;
@@ -52,6 +56,7 @@ pub use detector::{
     ControlEvent, LaneStats, ScorerMode, ScorerVisitor, StreamConfig, StreamDetector, StreamReport,
     StreamStats,
 };
+pub use driver::Driver;
 pub use durable::{DurableRecovery, DurableStream};
 pub use ring::{ring, ClosedError, Consumer, Producer, TryPushError};
 pub use router::{IngestRouter, LaneId, LaneKind, Sample};

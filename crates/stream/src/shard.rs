@@ -12,8 +12,8 @@
 //! Two drivers are provided:
 //!
 //! * [`ShardSet`] — serial: the caller routes events inline; useful for
-//!   deterministic tests, interim [`ShardSet::tick`] reports, and as the
-//!   building block of the durable tenant registry.
+//!   deterministic tests and interim [`Driver::tick`] reports; the
+//!   durable tenant registry drives its shards the same way.
 //! * [`ShardedStream`] — threaded: one consumer thread per shard behind a
 //!   per-shard SPSC ring carrying [`ShardEvent`]s. The single driver
 //!   thread broadcasts controls in-band, which preserves the
@@ -26,13 +26,18 @@
 //! is model-checked in `tests/loom_shard.rs`; the hash partition
 //! properties (stable, total, balanced) in `tests/shard_props.rs`.
 
+use std::collections::BTreeMap;
 use std::thread;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_detect::engine::{Task, TaskPool};
 use hierod_detect::{DetectError, Result};
 
-use crate::detector::{assemble_multi, ControlEvent, StreamConfig, StreamDetector, StreamReport};
+use crate::detector::{
+    assemble_multi, ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport,
+    StreamStats,
+};
+use crate::driver::{broadcast, route, sum_lane_stats, sum_stats, Driver};
 use crate::ring::{ring, Consumer, Producer};
 use crate::router::{LaneId, Sample};
 
@@ -99,7 +104,7 @@ pub enum ShardEvent {
 /// A serial shard set: `count` scoped detectors driven inline by the
 /// caller. Routing and broadcast follow the same rules as the threaded
 /// [`ShardedStream`], minus the rings — useful where determinism matters
-/// more than parallelism, and for interim [`ShardSet::tick`] reports.
+/// more than parallelism, and for interim [`Driver::tick`] reports.
 pub struct ShardSet {
     shards: Vec<StreamDetector>,
 }
@@ -123,56 +128,37 @@ impl ShardSet {
     pub fn count(&self) -> usize {
         self.shards.len()
     }
+}
 
-    /// Broadcasts one control event to every shard (fixed shard order).
-    ///
-    /// # Errors
-    /// The first shard's error; remaining shards still receive the event
-    /// so the skeletons cannot silently diverge.
-    pub fn apply(&mut self, event: &ControlEvent) -> Result<()> {
-        let mut first_err = None;
-        for shard in &mut self.shards {
-            if let Err(e) = shard.apply(event) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+/// Controls are broadcast to every shard in fixed shard order (the first
+/// error is returned, later shards still receive the event so the
+/// skeletons cannot silently diverge); samples go to their lane's hash
+/// owner; reports merge across shards in fixed order, byte-identical to
+/// the unsharded run.
+impl Driver for ShardSet {
+    fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        broadcast(&mut self.shards, event)
     }
 
-    /// Routes one sample to the lane's hash owner.
-    ///
-    /// # Errors
-    /// As [`StreamDetector::ingest`] on the owning shard.
-    pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let owner = shard_of(&lane.machine, &lane.sensor, self.shards.len());
-        match self.shards.get_mut(owner) {
-            Some(shard) => shard.ingest(lane, sample),
-            None => Err(DetectError::Missing {
-                what: format!("shard {owner} of {}", self.shards.len()),
-            }),
-        }
+    fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
+        route(&mut self.shards, lane, sample)
     }
 
-    /// Assembles an interim merged report across all shards, in fixed
-    /// shard order (see [`StreamDetector::tick`] for scoring semantics).
-    ///
-    /// # Errors
-    /// Propagates upper-level detector failures.
-    pub fn tick(&self) -> Result<StreamReport> {
+    fn tick(&mut self) -> Result<StreamReport> {
         let refs: Vec<&StreamDetector> = self.shards.iter().collect();
         assemble_multi(&refs)
     }
 
-    /// Finalizes every shard's pipelines and assembles the final merged
-    /// report, byte-identical to the unsharded run.
-    ///
-    /// # Errors
-    /// Propagates upper-level detector failures.
-    pub fn finish(self) -> Result<StreamReport> {
+    fn finish(self) -> Result<StreamReport> {
         finish_shards(self.shards)
+    }
+
+    fn stats(&self) -> StreamStats {
+        sum_stats(&self.shards)
+    }
+
+    fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
+        sum_lane_stats(&self.shards)
     }
 }
 
@@ -384,11 +370,7 @@ fn shard_worker(
             first_err.get_or_insert(e);
         }
     }
-    let result = match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    };
-    (detector, result)
+    (detector, first_err.map_or(Ok(()), Err))
 }
 
 #[cfg(test)]

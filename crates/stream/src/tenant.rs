@@ -30,12 +30,12 @@
 //!
 //! ## Layering
 //!
-//! [`Tenant`] and [`PlantRegistry`] are the **engine**: raw
-//! [`ControlEvent`] broadcast, routed ingest, merged tick/finish, and
-//! isolated recovery. The typed plant-driving surface (machine-up /
-//! job-start / phase-start / job-complete convenience calls) lives one
-//! layer up, in `hierod-service`'s `PlantService` trait — the shared
-//! entry point of the embedded-library path and the network path.
+//! [`Tenant`] and [`PlantRegistry`] are the **engine**: a [`Tenant`] is
+//! a [`Driver`] (raw [`ControlEvent`] broadcast, routed ingest, merged
+//! tick/finish), and the registry adds isolated recovery. The
+//! plant-keyed serving surface lives one layer up, in `hierod-service`'s
+//! `PlantService` trait — the shared entry point of the embedded-library
+//! path and the network path.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -45,10 +45,13 @@ use hierod_detect::{DetectError, Result};
 use hierod_store::store::StoreOptions;
 use hierod_store::tenants::{valid_tenant_id, StorageFactory};
 
-use crate::detector::{assemble_multi, ControlEvent, StreamConfig, StreamDetector, StreamReport};
+use crate::detector::{
+    assemble_multi, ControlEvent, LaneStats, StreamConfig, StreamDetector, StreamReport,
+    StreamStats,
+};
+use crate::driver::{broadcast, first_error, route, sum_lane_stats, sum_stats, Driver};
 use crate::durable::{DurableRecovery, DurableStream};
 use crate::router::{LaneId, Sample};
-use crate::shard::shard_of;
 
 /// Maps a storage failure into the detection error domain.
 fn substrate(e: io::Error) -> DetectError {
@@ -115,9 +118,9 @@ impl TenantRecovery {
 ///
 /// Controls are broadcast to every shard (each shard journals them to
 /// its own WAL); samples are journalled and scored only on the shard
-/// that owns their machine×sensor lane ([`shard_of`]). Reports are
-/// merged across shards in fixed order, so they are byte-identical to
-/// an unsharded run of the same event stream.
+/// that owns their machine×sensor lane ([`shard_of`](crate::shard_of)).
+/// Reports are merged across shards in fixed order, so they are
+/// byte-identical to an unsharded run of the same event stream.
 pub struct Tenant<S: hierod_store::Storage> {
     id: String,
     shards: Vec<DurableStream<S>>,
@@ -139,133 +142,66 @@ impl<S: hierod_store::Storage> Tenant<S> {
         &self.shards
     }
 
-    /// Journals and applies a control event on **every** shard, in
-    /// shard order. Later shards are still driven after an earlier
-    /// failure so the set never diverges structurally; the first error
-    /// is returned.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`], then lifecycle
-    /// errors from the detectors.
-    pub fn control(&mut self, event: &ControlEvent) -> Result<()> {
-        let mut first_err = None;
-        for shard in &mut self.shards {
-            if let Err(e) = shard.control(event) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Journals and ingests a sample on the shard owning its lane.
-    ///
-    /// # Errors
-    /// As [`DurableStream::ingest`].
-    pub fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
-        let owner = shard_of(&lane.machine, &lane.sensor, self.shards.len());
-        match self.shards.get_mut(owner) {
-            Some(shard) => shard.ingest(lane, sample),
-            None => Err(DetectError::Missing {
-                what: format!(
-                    "shard {owner} of {} on tenant {}",
-                    self.shards.len(),
-                    self.id
-                ),
-            }),
-        }
-    }
-
     /// Rotates every shard's WAL into a sealed segment (see
     /// [`DurableStream::rotate`]).
     ///
     /// # Errors
     /// The first storage failure; remaining shards are still rotated.
     pub fn rotate(&mut self) -> Result<()> {
-        let mut first_err = None;
-        for shard in &mut self.shards {
-            if let Err(e) = shard.rotate() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_error(self.shards.iter_mut().map(DurableStream::rotate))
     }
 
-    /// Current ingestion counters merged across all shards — the same
-    /// totals a [`tick`](Tenant::tick) report would carry, without
-    /// assembling one.
-    pub fn stats(&self) -> crate::detector::StreamStats {
-        let mut out = crate::detector::StreamStats::default();
+    /// Assembles the merged report of the shards' detectors in fixed
+    /// shard order, with each shard's recovery corruption folded in.
+    fn assemble(&self) -> Result<StreamReport> {
+        let refs: Vec<&StreamDetector> = self.shards.iter().map(|s| s.detector()).collect();
+        let mut report = assemble_multi(&refs)?;
         for shard in &self.shards {
-            let s = shard.stats();
-            out.samples_ingested += s.samples_ingested;
-            out.samples_released += s.samples_released;
-            out.late_dropped += s.late_dropped;
-            out.duplicates_dropped += s.duplicates_dropped;
-            out.series_failed += s.series_failed;
-            out.corrupt_records += s.corrupt_records;
+            shard.patch_report(&mut report);
         }
-        out
+        Ok(report)
+    }
+}
+
+/// Controls are journalled and applied on **every** shard in shard order
+/// (later shards are still driven after an earlier failure, so the set
+/// never diverges structurally; the first error is returned); samples
+/// are journalled and ingested on the shard owning their lane; reports
+/// and counters merge across shards in fixed order.
+impl<S: hierod_store::Storage> Driver for Tenant<S> {
+    fn apply(&mut self, event: &ControlEvent) -> Result<()> {
+        broadcast(&mut self.shards, event)
     }
 
-    /// Per-lane release/drop/corruption counters merged across all
-    /// shards (each lane lives on exactly one shard, so the merge is a
-    /// disjoint union). This is the direct query-path accessor — callers
-    /// no longer need to assemble a full report to read lane health.
-    pub fn lane_stats(&self) -> BTreeMap<LaneId, crate::detector::LaneStats> {
-        let mut out: BTreeMap<LaneId, crate::detector::LaneStats> = BTreeMap::new();
-        for shard in &self.shards {
-            for (lane, l) in shard.lane_stats() {
-                let entry = out.entry(lane).or_default();
-                entry.released += l.released;
-                entry.late_dropped += l.late_dropped;
-                entry.duplicates_dropped += l.duplicates_dropped;
-                entry.corrupt_records += l.corrupt_records;
-            }
-        }
-        out
+    fn ingest(&mut self, lane: &LaneId, sample: Sample) -> Result<()> {
+        route(&mut self.shards, lane, sample)
     }
 
     /// Hard-commits every shard's WAL, then assembles an interim merged
     /// report in fixed shard order — every score it exposes is backed
     /// by durable input on its owning shard.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`]; upper-level
-    /// detector failures as in [`crate::StreamDetector::tick`].
-    pub fn tick(&mut self) -> Result<StreamReport> {
+    fn tick(&mut self) -> Result<StreamReport> {
         for shard in &mut self.shards {
             shard.commit_wal()?;
         }
-        let refs: Vec<&StreamDetector> = self.shards.iter().map(|s| s.detector()).collect();
-        let mut report = assemble_multi(&refs)?;
-        for shard in &self.shards {
-            shard.patch_report(&mut report);
-        }
-        Ok(report)
+        self.assemble()
     }
 
     /// Hard-commits and finalizes every shard, then assembles the final
     /// merged report — byte-identical to the unsharded run.
-    ///
-    /// # Errors
-    /// Storage failures as [`DetectError::Substrate`]; upper-level
-    /// detector failures as in [`crate::StreamDetector::finish`].
-    pub fn finish(mut self) -> Result<StreamReport> {
+    fn finish(mut self) -> Result<StreamReport> {
         for shard in &mut self.shards {
             shard.finalize_pipelines()?;
         }
-        let refs: Vec<&StreamDetector> = self.shards.iter().map(|s| s.detector()).collect();
-        let mut report = assemble_multi(&refs)?;
-        for shard in &self.shards {
-            shard.patch_report(&mut report);
-        }
-        Ok(report)
+        self.assemble()
+    }
+
+    fn stats(&self) -> StreamStats {
+        sum_stats(&self.shards)
+    }
+
+    fn lane_stats(&self) -> BTreeMap<LaneId, LaneStats> {
+        sum_lane_stats(&self.shards)
     }
 }
 
@@ -450,8 +386,10 @@ mod tests {
     use super::*;
     use crate::detector::ScorerMode;
     use crate::router::LaneKind;
+    use hierod_detect::online::{OnlineScorer, ScoredPoint};
     use hierod_hierarchy::{CaqResult, JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
     use hierod_store::tenants::MemFactory;
+    use std::sync::Arc;
 
     fn config() -> TenantConfig {
         TenantConfig {
@@ -467,7 +405,7 @@ mod tests {
     fn drive(tenant: &mut Tenant<hierod_store::MemStorage>, bias: f64) {
         let (machine, bed, room) = ("m0", "m0.bed.0", "m0.room");
         tenant
-            .control(&ControlEvent::MachineUp {
+            .apply(&ControlEvent::MachineUp {
                 machine: machine.into(),
                 sensors: vec![Sensor::new(bed, SensorKind::BedTemperature)],
                 redundancy: vec![RedundancyGroup::new(
@@ -478,7 +416,7 @@ mod tests {
             })
             .unwrap();
         tenant
-            .control(&ControlEvent::JobStart {
+            .apply(&ControlEvent::JobStart {
                 machine: machine.into(),
                 job: "j0".into(),
                 start: 0,
@@ -486,7 +424,7 @@ mod tests {
             })
             .unwrap();
         tenant
-            .control(&ControlEvent::PhaseStart {
+            .apply(&ControlEvent::PhaseStart {
                 machine: machine.into(),
                 kind: PhaseKind::WarmUp,
                 sensors: vec![bed.to_string()],
@@ -527,7 +465,7 @@ mod tests {
                 .unwrap();
         }
         tenant
-            .control(&ControlEvent::JobComplete {
+            .apply(&ControlEvent::JobComplete {
                 machine: machine.into(),
                 caq: CaqResult::new(vec!["q".into()], vec![0.9], true),
             })
@@ -589,6 +527,46 @@ mod tests {
             format!("{recovered_report:?}"),
             "post-recovery tick matches pre-crash tick"
         );
+    }
+
+    /// Forwards to the wrapped scorer and reports one drift event — a
+    /// stand-in for an adaptive wrapper with live drift counters.
+    struct OneDrift(Box<dyn OnlineScorer>);
+
+    impl OnlineScorer for OneDrift {
+        fn push(&mut self, timestamp: u64, value: f64, out: &mut Vec<ScoredPoint>) -> Result<()> {
+            self.0.push(timestamp, value, out)
+        }
+
+        fn finish(&mut self, out: &mut Vec<ScoredPoint>) -> Result<()> {
+            self.0.finish(out)
+        }
+
+        fn name(&self) -> &'static str {
+            "one-drift"
+        }
+
+        fn drift_events(&self) -> u64 {
+            1
+        }
+    }
+
+    #[test]
+    fn live_counters_match_the_tick_report() {
+        let (mut registry, _) =
+            PlantRegistry::open(MemFactory::new(), AlgorithmPolicy::default(), config()).unwrap();
+        let tenant = registry.create_tenant("plant-a").unwrap();
+        for shard in &mut tenant.shards {
+            shard
+                .detector_mut()
+                .set_scorer_wrapper(Arc::new(|_, scorer| Box::new(OneDrift(scorer))));
+        }
+        drive(tenant, 0.0);
+        let (stats, lane_stats) = (tenant.stats(), tenant.lane_stats());
+        let report = tenant.tick().unwrap();
+        assert_eq!(report.stats.drift_events, 2, "one per lane pipeline");
+        assert_eq!(stats, report.stats);
+        assert_eq!(lane_stats, report.lane_stats);
     }
 
     #[test]

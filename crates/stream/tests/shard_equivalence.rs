@@ -15,8 +15,8 @@ use std::collections::HashMap;
 
 use hierod_core::AlgorithmPolicy;
 use hierod_stream::{
-    ControlEvent, LaneId, LaneKind, Sample, ScorerMode, ShardSet, ShardedStream, StreamConfig,
-    StreamDetector, StreamReport,
+    ControlEvent, Driver, LaneId, LaneKind, Sample, ScorerMode, ShardSet, ShardedStream,
+    StreamConfig, StreamDetector, StreamReport,
 };
 use hierod_synth::{ReplayEvent, Scenario, ScenarioBuilder};
 

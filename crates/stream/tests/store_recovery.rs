@@ -23,7 +23,7 @@ use hierod_store::storage::Storage;
 use hierod_store::store::StoreOptions;
 use hierod_store::MemStorage;
 use hierod_stream::{
-    DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
+    Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig, StreamReport,
 };
 use proptest::prelude::*;
 

@@ -10,8 +10,8 @@ use hierod_core::pipeline::build_report;
 use hierod_core::{detect_all_levels, AlgorithmPolicy, LevelOutlier};
 use hierod_hierarchy::Level;
 use hierod_stream::{
-    IngestRouter, LaneId, LaneKind, Producer, Sample, ScorerMode, StreamConfig, StreamDetector,
-    StreamReport,
+    Driver, IngestRouter, LaneId, LaneKind, Producer, Sample, ScorerMode, StreamConfig,
+    StreamDetector, StreamReport,
 };
 use hierod_synth::{ReplayEvent, Scenario, ScenarioBuilder};
 

@@ -15,8 +15,8 @@ use hierod_core::AlgorithmPolicy;
 use hierod_store::tenants::MemFactory;
 use hierod_store::Storage;
 use hierod_stream::{
-    ControlEvent, LaneId, LaneKind, PlantRegistry, Sample, ScorerMode, StreamConfig, StreamReport,
-    Tenant, TenantConfig,
+    ControlEvent, Driver, LaneId, LaneKind, PlantRegistry, Sample, ScorerMode, StreamConfig,
+    StreamReport, Tenant, TenantConfig,
 };
 use hierod_synth::{ReplayEvent, ScenarioBuilder};
 
@@ -136,7 +136,7 @@ fn steps() -> (Vec<Step>, usize) {
 fn drive(tenant: &mut Tenant<hierod_store::MemStorage>, steps: &[Step]) {
     for step in steps {
         match step {
-            Step::Control(event) => tenant.control(event).expect("control"),
+            Step::Control(event) => tenant.apply(event).expect("control"),
             Step::Sample(lane, sample) => tenant.ingest(lane, *sample).expect("ingest"),
         }
     }

@@ -18,8 +18,8 @@ use std::collections::{BTreeMap, HashMap};
 use hierod::core::{AlgorithmPolicy, FusionRule};
 use hierod::store::{MemStorage, StoreOptions};
 use hierod::stream::{
-    DurableStream, IngestRouter, LaneId, LaneKind, Producer, Sample, ScorerMode, StreamConfig,
-    StreamDetector, StreamReport,
+    Driver, DurableStream, IngestRouter, LaneId, LaneKind, Producer, Sample, ScorerMode,
+    StreamConfig, StreamDetector, StreamReport,
 };
 use hierod::synth::{ReplayEvent, Scenario, ScenarioBuilder};
 
