@@ -27,7 +27,7 @@ use hierod_core::AlgorithmPolicy;
 use hierod_hierarchy::{JobConfig, PhaseKind, RedundancyGroup, Sensor, SensorKind};
 use hierod_history::{backfill, compact, snapshot, CompactionOptions, HistoryReader, RangeQuery};
 use hierod_store::store::StoreOptions;
-use hierod_store::MemStorage;
+use hierod_store::{Layout, MemStorage};
 use hierod_stream::{Driver, DurableStream, LaneId, LaneKind, Sample, ScorerMode, StreamConfig};
 
 const SENSORS: usize = 4;
@@ -180,17 +180,19 @@ fn wal_bytes_per_sample() -> f64 {
         }
     }
     drop(det);
-    bytes_with_prefix(&storage, "wal-") as f64 / (n * SENSORS as u64) as f64
+    let wal = layout(&storage).wal_name();
+    bytes_of(&storage, [wal]) as f64 / (n * SENSORS as u64) as f64
 }
 
-/// Sums the stored bytes of files whose name starts with `prefix`.
-fn bytes_with_prefix(storage: &MemStorage, prefix: &str) -> u64 {
-    storage
-        .list()
-        .expect("list")
-        .iter()
-        .filter(|n| n.starts_with(prefix))
-        .map(|n| storage.read(n).expect("read").len() as u64)
+fn layout(storage: &MemStorage) -> Layout {
+    Layout::read(storage).expect("layout")
+}
+
+/// Sums the stored bytes of the named files.
+fn bytes_of(storage: &MemStorage, names: impl IntoIterator<Item = String>) -> u64 {
+    names
+        .into_iter()
+        .map(|n| storage.read(&n).expect("read").len() as u64)
         .sum()
 }
 
@@ -241,7 +243,9 @@ fn main() {
     // ── bytes/sample: WAL journal vs rotation segments vs history.
     let wal_per_sample = wal_bytes_per_sample();
     let (sealed_samples, _, _, _) = scan_all(&storage);
-    let raw_bytes = bytes_with_prefix(&storage, "seg-");
+    // Before compaction the live sealed files are the rotation segments;
+    // after it, the history files.
+    let raw_bytes = bytes_of(&storage, layout(&storage).sealed());
     let raw_per_sample = raw_bytes as f64 / sealed_samples as f64;
     println!();
     println!("# storage footprint ({sealed_samples} sealed samples)");
@@ -258,7 +262,7 @@ fn main() {
     let compact_start = Instant::now();
     let stats = compact(&storage, sealed_end, &CompactionOptions::default()).expect("compact");
     let compact_secs = compact_start.elapsed().as_secs_f64();
-    let hist_bytes = bytes_with_prefix(&storage, "hist-");
+    let hist_bytes = bytes_of(&storage, layout(&storage).sealed());
     let hist_per_sample = hist_bytes as f64 / sealed_samples as f64;
     println!(
         "{:<38} {:>12} {:>12.2}",

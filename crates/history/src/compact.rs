@@ -45,10 +45,10 @@ use std::collections::BTreeMap;
 use std::io;
 
 use hierod_store::segment::{self, ColumnEncoding, ControlRecord, LaneDef, SegmentChunk};
-use hierod_store::store::{
-    hist_name, parse_hist_name, publish, publish_floor, read_floor, seg_name,
-};
-use hierod_store::{SegmentData, SegmentDraft, Storage};
+use hierod_store::store::{hist_name, publish, publish_floor, read_floor, seg_name};
+use hierod_store::{Layout, SegmentData, SegmentDraft, Storage};
+
+use crate::reader::read_index;
 
 /// Footer-extension tag for the history level byte in
 /// [`SegmentDraft::extra`]: `[LEVEL_TAG, level]`.
@@ -314,39 +314,17 @@ struct HistFile {
     level: u8,
 }
 
-/// Lists committed history files sorted by range start, with levels.
-fn live_hist_files<S: Storage>(storage: &S, floor: u64) -> io::Result<Vec<HistFile>> {
-    let mut files: Vec<HistFile> = Vec::new();
-    for name in storage.list()? {
-        let Some((lo, hi)) = parse_hist_name(&name) else {
-            continue;
-        };
-        if hi >= floor {
-            // Uncommitted leftover from a crashed L0 step; recovery
-            // removes it — compaction just ignores it.
-            continue;
-        }
-        let bytes = storage.read(&name)?;
-        let index = segment::decode_index(&bytes).map_err(|e| invalid(format!("{name}: {e}")))?;
-        let level = parse_level(&index.extra).unwrap_or(1);
-        files.push(HistFile { lo, hi, level });
-    }
-    files.sort_by_key(|f| (f.lo, f.hi));
-    // Drop superseded files (strict subset of a larger committed file),
-    // mirroring recovery's liveness rule.
-    let keep: Vec<bool> = files
-        .iter()
-        .map(|f| {
-            !files
-                .iter()
-                .any(|g| g.lo <= f.lo && f.hi <= g.hi && (g.hi - g.lo) > (f.hi - f.lo))
-        })
-        .collect();
-    Ok(files
+/// The store's live history files in range order, with their levels.
+fn live_hist_files<S: Storage>(storage: &S) -> io::Result<Vec<HistFile>> {
+    Layout::read(storage)?
+        .hist
         .into_iter()
-        .zip(keep)
-        .filter_map(|(f, k)| k.then_some(f))
-        .collect())
+        .map(|(lo, hi)| {
+            let file = read_index(storage, &hist_name(lo, hi))?;
+            let level = parse_level(&file.index.extra).unwrap_or(1);
+            Ok(HistFile { lo, hi, level })
+        })
+        .collect()
 }
 
 /// Runs compaction over a sealed store directory.
@@ -402,7 +380,7 @@ pub fn compact<S: Storage>(
     // Tier merges: fold `fanout` adjacent same-level files into one
     // file at the next level, repeating until no group is full.
     loop {
-        let files = live_hist_files(storage, floor)?;
+        let files = live_hist_files(storage)?;
         let Some(group) = find_merge_group(&files, options) else {
             break;
         };

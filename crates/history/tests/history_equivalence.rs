@@ -3,9 +3,12 @@
 //! * **Scan ≡ replay** — a range scan over compacted, Gorilla-compressed
 //!   history files returns bit-identical samples to a forward replay of
 //!   the uncompacted rotation segments.
-//! * **Crash equivalence** — compaction is interrupted at every written
-//!   byte (× page cache kept/lost); recovery plus a re-run always
+//! * **Crash equivalence** — compaction is interrupted at every 97th
+//!   written byte (× page cache kept/lost); recovery plus a re-run always
 //!   converges to the same scan results and the same detector report.
+//!   Rotation is interrupted at every written byte; snapshots of the
+//!   crashed directory, before and after recovery, scan exactly the
+//!   segments sealed before or after the rotation.
 //! * **Backfill** — replaying the stored record through a fresh
 //!   detector with the original policy reproduces the original report
 //!   byte-for-byte, before and after compaction; replaying under a
@@ -342,6 +345,53 @@ fn finish_report(storage: MemStorage) -> StreamReport {
     d.finish().expect("finish")
 }
 
+/// Crashes one operation at every `step`-th byte of its write volume ×
+/// page cache {lost, kept}. `prepare` readies the operation on a fresh
+/// image of `pristine` (its own writes are not budgeted) and `run`
+/// performs it; `check` receives each crashed directory, as a
+/// restarted process would read it, plus a label for messages.
+///
+/// Asserts that every swept offset below the write volume crashed, and
+/// returns how many points did.
+fn crash_sweep<T, E: std::fmt::Debug>(
+    pristine: &MemStorage,
+    step: usize,
+    prepare: impl Fn(&MemStorage) -> T,
+    run: impl Fn(T) -> Result<(), E>,
+    mut check: impl FnMut(MemStorage, &str),
+) -> usize {
+    let probe = pristine.crash_image(true);
+    let armed = prepare(&probe);
+    let before = probe.bytes_written();
+    run(armed).expect("uninterrupted run");
+    let total = probe.bytes_written() - before;
+
+    let mut killed = 0;
+    for offset in (0..=total).step_by(step) {
+        for keep_unsynced in [false, true] {
+            let image = pristine.crash_image(true);
+            let armed = prepare(&image);
+            // The budget counts from here, not from the image's lifetime
+            // `bytes_written`.
+            image.set_write_budget(Some(offset));
+            if run(armed).is_err() {
+                assert!(image.killed(), "only the injected crash may fail");
+            }
+            killed += usize::from(image.killed());
+            check(
+                image.crash_image(keep_unsynced),
+                &format!("offset={offset} keep_unsynced={keep_unsynced}"),
+            );
+        }
+    }
+    let below_total = 2 * (0..total).step_by(step).count();
+    assert_eq!(
+        killed, below_total,
+        "every swept offset below the {total} bytes written crashes"
+    );
+    killed
+}
+
 #[test]
 fn compaction_crash_points_recover_equivalently() {
     let (pristine, sealed_end) = populated_store();
@@ -356,42 +406,81 @@ fn compaction_crash_points_recover_equivalently() {
     // The detector report an uninterrupted recovery-and-finish reaches.
     let baseline = finish_report(pristine.crash_image(true));
 
-    // Measure compaction's write volume to bound the sweep.
-    let probe = pristine.crash_image(true);
-    let before = probe.bytes_written();
-    compact(&probe, sealed_end, &options).expect("probe compact");
-    let total = probe.bytes_written() - before;
-    assert!(total > 1_000, "compaction writes enough to sweep: {total}");
-
-    let mut swept = 0;
-    for offset in (0..=total).step_by(97) {
-        for keep_unsynced in [false, true] {
-            let image = pristine.crash_image(true);
-            image.set_write_budget(Some(image.bytes_written() + offset));
-            let result = compact(&image, sealed_end, &options);
-            if result.is_err() {
-                assert!(image.killed(), "only the injected crash may fail");
-            }
-            let recovered = image.crash_image(keep_unsynced);
-
+    let killed = crash_sweep(
+        &pristine,
+        97,
+        |image| image.clone(),
+        |image| compact(&image, sealed_end, &options).map(drop),
+        |recovered, at| {
             // Recovery (the store's own rules) + a re-run converge.
             let report = finish_report(recovered.crash_image(true));
             assert_eq!(
                 format!("{:?}", report.report),
                 format!("{:?}", baseline.report),
-                "offset={offset} keep_unsynced={keep_unsynced}"
+                "{at}"
             );
             compact(&recovered, sealed_end, &options).expect("re-run compact");
-            assert_eq!(
-                scan_samples(&recovered, 0, u64::MAX),
-                expected,
-                "offset={offset} keep_unsynced={keep_unsynced}"
-            );
+            assert_eq!(scan_samples(&recovered, 0, u64::MAX), expected, "{at}");
             assert_eq!(read_floor(&recovered).expect("floor"), sealed_end);
-            swept += 1;
-        }
+        },
+    );
+    assert!(killed >= 20, "sweep crashed compaction at {killed} points");
+}
+
+/// Opens a stream on `storage` and journals one more job, so the next
+/// rotation seals new samples and controls.
+fn stream_with_open_job(storage: &MemStorage) -> DurableStream<MemStorage> {
+    let mut d = open(storage.clone());
+    let bed = "m1.bed.0".to_string();
+    d.job_start(
+        "m1",
+        "j1",
+        900,
+        JobConfig::new(vec!["speed".into()], vec![4.0]),
+    )
+    .expect("job start");
+    d.phase_start("m1", PhaseKind::WarmUp, std::slice::from_ref(&bed))
+        .expect("phase start");
+    for t in 900..920_u64 {
+        let sample = Sample {
+            timestamp: t,
+            value: (t as f64 * 0.3).sin(),
+        };
+        d.ingest(&lane("m1", &bed, LaneKind::Phase), sample)
+            .expect("ingest");
     }
-    assert!(swept >= 20, "sweep covered {swept} crash points");
+    d
+}
+
+#[test]
+fn rotation_crash_points_keep_snapshots_readable() {
+    let (pristine, _) = populated_store();
+    let before = sealed_samples(&pristine);
+    let after = {
+        let image = pristine.crash_image(true);
+        stream_with_open_job(&image).rotate().expect("rotate");
+        sealed_samples(&image)
+    };
+    assert_ne!(before, after, "the rotation seals new samples");
+
+    let killed = crash_sweep(
+        &pristine,
+        1,
+        stream_with_open_job,
+        |mut d| d.rotate(),
+        |crashed, at| {
+            // Read-only, as beside a live store whose rotation failed;
+            // then again after recovery.
+            for phase in ["crashed", "recovered"] {
+                if phase == "recovered" {
+                    drop(open(crashed.clone()));
+                }
+                let got = scan_samples(&crashed, 0, u64::MAX);
+                assert!(got == before || got == after, "{phase} {at}");
+            }
+        },
+    );
+    assert!(killed >= 100, "sweep crashed rotation at {killed} points");
 }
 
 #[test]

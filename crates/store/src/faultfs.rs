@@ -65,7 +65,8 @@ impl MemStorage {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Arms the crash lever: after `budget` more appended bytes, the
+    /// Arms the crash lever: after `budget` more appended bytes, counted
+    /// from this call (not from [`MemStorage::bytes_written`]), the
     /// storage tears the in-flight write and kills every later operation.
     /// `None` disarms it.
     pub fn set_write_budget(&self, budget: Option<u64>) {
@@ -79,6 +80,9 @@ impl MemStorage {
     }
 
     /// Total bytes appended over the storage's lifetime (durable or not).
+    /// A [`MemStorage::crash_image`] inherits the count, so measure an
+    /// operation's write volume as a difference, never as an offset for
+    /// [`MemStorage::set_write_budget`].
     pub fn bytes_written(&self) -> u64 {
         self.lock().written
     }
@@ -94,7 +98,9 @@ impl MemStorage {
 
     /// Snapshots the state a restarted process would observe. Durable
     /// bytes always survive; pending bytes survive only if
-    /// `keep_unsynced`. The image is a fresh, healthy storage.
+    /// `keep_unsynced`. The image is a fresh, healthy storage with no
+    /// write budget; it carries over the lifetime
+    /// [`MemStorage::bytes_written`] count.
     pub fn crash_image(&self, keep_unsynced: bool) -> MemStorage {
         let inner = self.lock();
         let files = inner
@@ -328,33 +334,33 @@ mod tests {
     #[test]
     fn pending_bytes_drop_without_sync() {
         let storage = MemStorage::new();
-        let mut f = storage.create("wal-0").expect("create");
+        let mut f = storage.create("blob-0").expect("create");
         f.append(b"durable").expect("append");
         f.sync().expect("sync");
         f.append(b" lost").expect("append");
-        assert_eq!(storage.read("wal-0").expect("read"), b"durable lost");
+        assert_eq!(storage.read("blob-0").expect("read"), b"durable lost");
 
         let dropped = storage.crash_image(false);
-        assert_eq!(dropped.read("wal-0").expect("read"), b"durable");
+        assert_eq!(dropped.read("blob-0").expect("read"), b"durable");
         let kept = storage.crash_image(true);
-        assert_eq!(kept.read("wal-0").expect("read"), b"durable lost");
+        assert_eq!(kept.read("blob-0").expect("read"), b"durable lost");
     }
 
     #[test]
     fn write_budget_tears_the_inflight_append_and_kills() {
         let storage = MemStorage::new();
-        let mut f = storage.create("wal-0").expect("create");
+        let mut f = storage.create("blob-0").expect("create");
         storage.set_write_budget(Some(4));
         assert!(f.append(b"abcdef").is_err());
         assert!(storage.killed());
         assert!(f.append(b"x").is_err());
         assert!(f.sync().is_err());
-        assert!(storage.read("wal-0").is_err(), "reads fail after kill");
+        assert!(storage.read("blob-0").is_err(), "reads fail after kill");
         // The crash image shows the torn prefix (if the cache flushed).
         let image = storage.crash_image(true);
-        assert_eq!(image.read("wal-0").expect("read"), b"abcd");
+        assert_eq!(image.read("blob-0").expect("read"), b"abcd");
         let strict = storage.crash_image(false);
-        assert_eq!(strict.read("wal-0").expect("read"), b"");
+        assert_eq!(strict.read("blob-0").expect("read"), b"");
     }
 
     #[test]
@@ -374,26 +380,26 @@ mod tests {
     #[test]
     fn tear_and_flip_bit_mutate_the_image() {
         let storage = MemStorage::new();
-        let mut f = storage.create("seg-0").expect("create");
+        let mut f = storage.create("blob-1").expect("create");
         f.append(b"columnar segment").expect("append");
         f.sync().expect("sync");
-        assert!(storage.tear("seg-0", 8));
-        assert_eq!(storage.read("seg-0").expect("read"), b"columnar");
-        assert!(storage.flip_bit("seg-0", 0, 1));
-        assert_eq!(storage.read("seg-0").expect("read"), b"aolumnar");
-        assert!(!storage.flip_bit("seg-0", 99, 0));
-        assert!(!storage.tear("seg-0", 99));
+        assert!(storage.tear("blob-1", 8));
+        assert_eq!(storage.read("blob-1").expect("read"), b"columnar");
+        assert!(storage.flip_bit("blob-1", 0, 1));
+        assert_eq!(storage.read("blob-1").expect("read"), b"aolumnar");
+        assert!(!storage.flip_bit("blob-1", 99, 0));
+        assert!(!storage.tear("blob-1", 99));
     }
 
     #[test]
     fn rename_is_atomic_and_remove_works() {
         let storage = MemStorage::new();
-        let mut f = storage.create("wal-1.tmp").expect("create");
+        let mut f = storage.create("blob-2.tmp").expect("create");
         f.append(b"x").expect("append");
         f.sync().expect("sync");
-        storage.rename("wal-1.tmp", "wal-1").expect("rename");
-        assert_eq!(storage.list().expect("list"), vec!["wal-1".to_string()]);
-        storage.remove("wal-1").expect("remove");
+        storage.rename("blob-2.tmp", "blob-2").expect("rename");
+        assert_eq!(storage.list().expect("list"), vec!["blob-2".to_string()]);
+        storage.remove("blob-2").expect("remove");
         assert!(storage.list().expect("list").is_empty());
         assert!(storage.rename("nope", "x").is_err());
     }

@@ -21,7 +21,8 @@
 //!   footer by the history tier.
 //! * [`store`] — the [`Store`] facade: one active WAL with group-commit
 //!   batching, sealed segments, the crash-safe rotation protocol, and
-//!   full recovery on open.
+//!   full recovery on open; [`Layout`] is the one read-only statement
+//!   of which files in a store directory are live.
 //! * [`tenants`] — per-plant storage roots
 //!   (`<root>/<plant-id>/shard-<k>/`) behind the [`StorageFactory`]
 //!   trait, keeping every tenant's WAL and segments disjoint so one
@@ -51,6 +52,6 @@ pub use segment::{
     SegmentDraft, SegmentError, SegmentIndex,
 };
 pub use storage::{DiskStorage, Storage, StorageFile};
-pub use store::{Recovered, RecoveryStats, Store, StoreOptions};
+pub use store::{Layout, Recovered, RecoveryStats, Stale, Store, StoreOptions};
 pub use tenants::{valid_tenant_id, DiskFactory, MemFactory, StorageFactory, MAX_TENANT_ID_LEN};
 pub use wal::{CorruptionKind, WalCorruption, WalRecord, WalScan};

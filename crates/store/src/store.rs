@@ -22,7 +22,7 @@
 //! **the active WAL is the highest-numbered one; segments with a lower
 //! index are applied in order; everything else is stale and removed.**
 //! A crash between 1 and 2 leaves `seg-N` and `wal-N` coexisting — the
-//! segment is ignored (its index is not lower than the WAL's) and the
+//! segment is stale (its index is not lower than the WAL's) and the
 //! WAL replayed, so nothing is double-applied. A crash between 2 and 3
 //! leaves two WALs — the lower one's content is fully covered by
 //! `seg-N` + the carry-over, so it is deleted unread.
@@ -40,16 +40,24 @@
 //! publication is the commit point, extending the rotation recovery
 //! rule without adding a second one: **below the floor the live history
 //! files are the truth; from the floor up, the per-rotation run and
-//! the highest-numbered WAL are.** Concretely, on open:
+//! the highest-numbered WAL are.** Concretely:
 //!
 //! * a history file whose range reaches the floor or beyond was never
-//!   committed (crash between its rename and the floor bump) — removed;
+//!   committed (crash between its rename and the floor bump) — stale;
 //! * a history file whose range is a strict subset of another live one
 //!   was superseded by a tier merge whose input cleanup was interrupted
-//!   — removed;
+//!   — stale;
 //! * the survivors must tile `0..floor` contiguously, and replace the
 //!   per-rotation segments below the floor (any of those still on disk
-//!   are interrupted-cleanup leftovers — removed, like stale WALs).
+//!   are interrupted-cleanup leftovers — stale, like lower WALs).
+//!
+//! ## One classifier
+//!
+//! [`Layout::read`] is the only implementation of these rules: it sorts
+//! every file of a directory into live and stale without touching
+//! anything. [`Store::open`] removes what it calls stale; read-only
+//! consumers (history snapshots, compaction planning) skip it. This
+//! module is the only place that spells a `wal-`/`seg-`/`hist-` name.
 
 use std::io;
 
@@ -92,7 +100,8 @@ pub struct RecoveryStats {
     pub hist_loaded: usize,
     /// Uncommitted or superseded history files, removed.
     pub stale_hist_removed: usize,
-    /// Rotation segments below the compaction floor, removed.
+    /// Rotation segments below the compaction floor or at/above the
+    /// active WAL (an aborted rotation), removed.
     pub stale_segments_removed: usize,
 }
 
@@ -208,6 +217,149 @@ pub fn publish_floor<S: Storage>(storage: &S, floor: u64) -> io::Result<()> {
     publish(storage, FLOOR_NAME, &image)
 }
 
+/// Why [`Layout::read`] classified a file as stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stale {
+    /// A `*.tmp` file: a publish interrupted before its rename.
+    Tmp,
+    /// A history file that reaches the floor (never committed) or is a
+    /// strict subset of a committed one (superseded by a tier merge).
+    Hist,
+    /// A rotation segment below the floor (history owns its data) or at
+    /// or above the active WAL (an aborted rotation).
+    Segment,
+    /// A WAL below the active one (covered by its segment + carry-over).
+    Wal,
+}
+
+/// A store directory sorted by the liveness rule (module docs) into
+/// what recovery replays and what it removes. Reading one changes
+/// nothing, so it is safe beside a live store.
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// The compaction floor.
+    pub floor: u64,
+    /// The active WAL index: the highest WAL present, else one past the
+    /// last live rotation segment (at least the floor).
+    pub wal_index: u64,
+    /// Whether the active WAL file exists.
+    pub wal_exists: bool,
+    /// Live history ranges `(lo, hi)` in order; they tile `0..floor`.
+    pub hist: Vec<(u64, u64)>,
+    /// Stale files by name, each with the reason it is stale.
+    pub stale: Vec<(String, Stale)>,
+}
+
+impl Layout {
+    /// Lists `storage` once, reads the floor, and classifies every store
+    /// file. Names the rule does not know are neither live nor stale.
+    ///
+    /// # Errors
+    /// Storage I/O failures; a damaged floor marker; live history files
+    /// that do not tile `0..floor`; live rotation segments that do not
+    /// run `floor..wal_index` without a gap.
+    pub fn read<S: Storage>(storage: &S) -> io::Result<Self> {
+        let names = storage.list()?;
+        let floor = read_floor(storage)?;
+        let mut stale = Vec::new();
+        let (mut hist, mut segs, mut wals) = (Vec::new(), Vec::new(), Vec::new());
+        for name in names {
+            if name.ends_with(".tmp") {
+                stale.push((name, Stale::Tmp));
+            } else if let Some(range) = parse_hist_name(&name) {
+                hist.push((range, name));
+            } else if let Some(i) = parse_index(&name, "seg-", ".seg") {
+                segs.push((i, name));
+            } else if let Some(i) = parse_index(&name, "wal-", ".log") {
+                wals.push((i, name));
+            }
+        }
+
+        hist.sort_unstable();
+        let committed: Vec<(u64, u64)> = hist
+            .iter()
+            .map(|&(range, _)| range)
+            .filter(|&(_, hi)| hi < floor)
+            .collect();
+        let mut live_hist = Vec::with_capacity(committed.len());
+        let mut next = 0;
+        for ((lo, hi), name) in hist {
+            let superseded = committed
+                .iter()
+                .any(|&(l2, h2)| l2 <= lo && hi <= h2 && h2 - l2 > hi - lo);
+            if hi >= floor || superseded {
+                stale.push((name, Stale::Hist));
+            } else if lo != next {
+                return Err(invalid(format!(
+                    "history run mismatch: expected range starting at {next}, found {name}"
+                )));
+            } else {
+                live_hist.push((lo, hi));
+                next = hi + 1;
+            }
+        }
+        if next != floor {
+            return Err(invalid(format!(
+                "history run mismatch: floor is {floor} but history covers 0..{next}"
+            )));
+        }
+
+        // Without a WAL (fresh directory, or a crash before the first
+        // one became durable), resume after the last segment the floor
+        // has not overtaken.
+        let wal_index = match wals.iter().map(|&(i, _)| i).max() {
+            Some(active) => active,
+            None => segs
+                .iter()
+                .map(|&(i, _)| i)
+                .filter(|&i| i >= floor)
+                .max()
+                .map_or(0, |m| m + 1)
+                .max(floor),
+        };
+        let wal_exists = !wals.is_empty();
+        for (i, name) in wals {
+            if i < wal_index {
+                stale.push((name, Stale::Wal));
+            }
+        }
+        segs.sort_unstable();
+        let mut live_segs = Vec::with_capacity(segs.len());
+        for (i, name) in segs {
+            if (floor..wal_index).contains(&i) {
+                live_segs.push(i);
+            } else {
+                stale.push((name, Stale::Segment));
+            }
+        }
+        if !live_segs.iter().copied().eq(floor..wal_index) {
+            return Err(invalid(format!(
+                "segment run mismatch: expected seg-{floor}..seg-{wal_index}, found {live_segs:?}"
+            )));
+        }
+
+        Ok(Self {
+            floor,
+            wal_index,
+            wal_exists,
+            hist: live_hist,
+            stale,
+        })
+    }
+
+    /// Live sealed file names in replay order: history files by range,
+    /// then rotation segments `floor..wal_index`.
+    pub fn sealed(&self) -> impl Iterator<Item = String> + '_ {
+        let hist = self.hist.iter().map(|&(lo, hi)| hist_name(lo, hi));
+        hist.chain((self.floor..self.wal_index).map(seg_name))
+    }
+
+    /// Name of the active WAL.
+    pub fn wal_name(&self) -> String {
+        wal_name(self.wal_index)
+    }
+}
+
 /// A durable record log with segment sealing and crash recovery.
 pub struct Store<S: Storage> {
     storage: S,
@@ -219,143 +371,45 @@ pub struct Store<S: Storage> {
 }
 
 impl<S: Storage> Store<S> {
-    /// Opens (or initialises) a store, running full recovery: load and
-    /// verify every sealed segment, scan the active WAL tail, truncate
-    /// damage, and clean up interrupted-rotation leftovers.
+    /// Opens (or initialises) a store, running full recovery: classify
+    /// the directory ([`Layout::read`]), remove the stale files, load and
+    /// verify every sealed segment, scan the active WAL tail, and
+    /// truncate damage.
     ///
     /// # Errors
-    /// Storage I/O failures; a sealed segment that is missing or fails
-    /// verification (segments have no salvageable prefix).
+    /// Storage I/O failures; a directory [`Layout::read`] rejects (left
+    /// untouched); a sealed segment that fails verification (segments
+    /// have no salvageable prefix).
     pub fn open(storage: S, options: StoreOptions) -> io::Result<(Self, Recovered)> {
+        let layout = Layout::read(&storage)?;
         let mut recovered = Recovered::default();
-        let names = storage.list()?;
-
-        // Interrupted rotations leave `*.tmp` files; they were never
-        // published, so they are garbage.
-        for name in names.iter().filter(|n| n.ends_with(".tmp")) {
+        let stats = &mut recovered.stats;
+        for (name, why) in &layout.stale {
             storage.remove(name)?;
-            recovered.stats.tmp_files_removed += 1;
+            *match why {
+                Stale::Tmp => &mut stats.tmp_files_removed,
+                Stale::Hist => &mut stats.stale_hist_removed,
+                Stale::Segment => &mut stats.stale_segments_removed,
+                Stale::Wal => &mut stats.stale_wals_removed,
+            } += 1;
         }
-
-        // Compacted history below the floor (module docs): drop
-        // uncommitted ranges (they reach the floor), drop ranges a
-        // bigger live range supersedes, and demand the rest tile
-        // `0..floor` — a gap means a committed history file vanished,
-        // which is as fatal as a missing rotation segment.
-        let floor = read_floor(&storage)?;
-        let mut hist: Vec<(u64, u64)> = names.iter().filter_map(|n| parse_hist_name(n)).collect();
-        hist.sort_unstable();
-        let mut live_hist = Vec::with_capacity(hist.len());
-        for &(lo, hi) in &hist {
-            let committed = hi < floor;
-            let superseded = hist
-                .iter()
-                .any(|&(l2, h2)| l2 <= lo && hi <= h2 && (h2 - l2) > (hi - lo) && h2 < floor);
-            if committed && !superseded {
-                live_hist.push((lo, hi));
-            } else {
-                storage.remove(&hist_name(lo, hi))?;
-                recovered.stats.stale_hist_removed += 1;
-            }
-        }
-        let mut next_expected = 0;
-        for &(lo, hi) in &live_hist {
-            if lo != next_expected {
-                return Err(invalid(format!(
-                    "history run mismatch: expected range starting at {next_expected}, \
-                     found hist-{lo}-{hi}.seg"
-                )));
-            }
-            next_expected = hi + 1;
-        }
-        if next_expected != floor {
-            return Err(invalid(format!(
-                "history run mismatch: floor is {floor} but history covers 0..{next_expected}"
-            )));
-        }
-
-        let wal_indices: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_index(n, "wal-", ".log"))
-            .collect();
-        let seg_indices: Vec<u64> = names
-            .iter()
-            .filter_map(|n| parse_index(n, "seg-", ".seg"))
-            .collect();
-
-        // Rotation segments the floor has overtaken are stale copies of
-        // data now owned by history files (interrupted L0 cleanup).
-        let mut seg_live = Vec::with_capacity(seg_indices.len());
-        for &i in &seg_indices {
-            if i < floor {
-                storage.remove(&seg_name(i))?;
-                recovered.stats.stale_segments_removed += 1;
-            } else {
-                seg_live.push(i);
-            }
-        }
-
-        let wal_index = match wal_indices.iter().max().copied() {
-            Some(active) => {
-                // A crash between publishing the next WAL and deleting
-                // the old one leaves lower-numbered WALs behind; their
-                // content is covered by the sealed segments + carry-over.
-                for &stale in wal_indices.iter().filter(|&&i| i < active) {
-                    storage.remove(&wal_name(stale))?;
-                    recovered.stats.stale_wals_removed += 1;
-                }
-                active
-            }
-            None => {
-                // Fresh directory (or a crash before the very first WAL
-                // became durable): start after the last sealed segment,
-                // or at the floor when compaction consumed them all.
-                seg_live.iter().max().map_or(0, |&m| m + 1).max(floor)
-            }
-        };
-
-        // History files replay first: they cover the lowest indices.
-        for &(lo, hi) in &live_hist {
-            let bytes = storage.read(&hist_name(lo, hi))?;
-            let data =
-                segment::decode(&bytes).map_err(|e| invalid(format!("hist-{lo}-{hi}.seg: {e}")))?;
+        for name in layout.sealed() {
+            let bytes = storage.read(&name)?;
+            let data = segment::decode(&bytes).map_err(|e| invalid(format!("{name}: {e}")))?;
             recovered.segments.push(data);
-            recovered.stats.hist_loaded += 1;
         }
-
-        // Apply exactly the segments from the floor to the active WAL,
-        // in order. Rotation seals every index once, so the run must be
-        // contiguous.
-        let expected: Vec<u64> = (floor..wal_index).collect();
-        let mut have = seg_live.clone();
-        have.sort_unstable();
-        have.dedup();
-        have.retain(|&i| i < wal_index);
-        if have != expected {
-            return Err(invalid(format!(
-                "segment run mismatch: expected seg-{floor}..seg-{wal_index}, found {have:?}"
-            )));
-        }
-        for &index in &expected {
-            let bytes = storage.read(&seg_name(index))?;
-            let data =
-                segment::decode(&bytes).map_err(|e| invalid(format!("seg-{index}.seg: {e}")))?;
-            recovered.segments.push(data);
-            recovered.stats.segments_loaded += 1;
-        }
-        // A segment at or above the WAL index is an aborted rotation
-        // whose WAL survived; it will be rewritten by the next rotation.
+        stats.hist_loaded = layout.hist.len();
+        stats.segments_loaded = recovered.segments.len() - layout.hist.len();
 
         // Scan the active WAL tail (if it exists) and truncate damage.
-        let active_name = wal_name(wal_index);
-        let existing = names.contains(&active_name);
-        if existing {
+        let active_name = layout.wal_name();
+        if layout.wal_exists {
             let bytes = storage.read(&active_name)?;
             let scanned = wal::scan(&bytes);
-            recovered.stats.wal_records = scanned.records.len();
+            stats.wal_records = scanned.records.len();
             if let Some(corruption) = scanned.corruption {
-                recovered.stats.corruption = Some(corruption);
-                recovered.stats.wal_truncated_bytes =
+                stats.corruption = Some(corruption);
+                stats.wal_truncated_bytes =
                     (bytes.len() as u64).saturating_sub(scanned.valid_len as u64);
                 publish(&storage, &active_name, &wal::encode_image(&scanned.records))?;
             }
@@ -369,8 +423,8 @@ impl<S: Storage> Store<S> {
             Self {
                 storage,
                 writer,
-                wal_index,
-                floor,
+                wal_index: layout.wal_index,
+                floor: layout.floor,
                 group_commit: options.group_commit.max(1),
                 unsynced: 0,
             },
@@ -733,11 +787,20 @@ mod tests {
     fn history_gap_is_a_hard_error() {
         let mem = compacted_store();
         mem.remove(&hist_name(0, 1)).expect("rm");
-        let err = match Store::open(mem, opts(8)) {
+        // Stale files a sound directory would lose on recovery.
+        publish(&mem, &format!("{}.tmp", seg_name(2)), b"torn").expect("publish tmp");
+        publish(&mem, &hist_name(2, 3), b"never-committed").expect("publish hist");
+        let before = mem.list().expect("list");
+        let err = match Store::open(mem.clone(), opts(8)) {
             Ok(_) => panic!("gap must fail"),
             Err(e) => e,
         };
         assert!(err.to_string().contains("history run mismatch"), "{err}");
+        assert_eq!(
+            mem.list().expect("list"),
+            before,
+            "a rejected directory is left untouched"
+        );
     }
 
     #[test]
@@ -783,7 +846,15 @@ mod tests {
                     assert!(result.is_err(), "budget {extra} should crash rotation");
                 }
                 let image = mem.crash_image(keep_unsynced);
-                let (_s, recovered) = Store::open(image, opts(8)).expect("recovery must succeed");
+                let (_s, recovered) =
+                    Store::open(image.clone(), opts(8)).expect("recovery must succeed");
+                // Recovery removes every stale file, an aborted
+                // rotation's segment included.
+                let left = Layout::read(&image).expect("layout").stale;
+                assert!(
+                    left.is_empty(),
+                    "budget {extra}: stale after recovery {left:?}"
+                );
                 // Invariant: the four committed samples survive, exactly
                 // once, either in a sealed segment or in the WAL.
                 let seg_samples: usize = recovered

@@ -276,14 +276,14 @@ mod tests {
     fn mem_factory_shares_bytes_per_shard_and_isolates_tenants() {
         let factory = MemFactory::new();
         let a0 = factory.open_shard("plant-a", 0).unwrap();
-        let mut f = a0.create("wal-000001").unwrap();
+        let mut f = a0.create("blob-000001").unwrap();
         f.append(b"hello").unwrap();
         f.sync().unwrap();
         drop(f);
 
         // Re-opening the same shard sees the same bytes.
         let again = factory.open_shard("plant-a", 0).unwrap();
-        assert_eq!(again.read("wal-000001").unwrap(), b"hello");
+        assert_eq!(again.read("blob-000001").unwrap(), b"hello");
 
         // A different tenant (or shard) sees an empty namespace.
         let b0 = factory.open_shard("plant-b", 0).unwrap();
@@ -303,12 +303,12 @@ mod tests {
         let a0 = factory.open_shard("a", 0).unwrap();
         let b0 = factory.open_shard("b", 0).unwrap();
         for (storage, payload) in [(&a0, b"aaaa".as_slice()), (&b0, b"bbbb".as_slice())] {
-            let mut f = storage.create("wal-000001").unwrap();
+            let mut f = storage.create("blob-000001").unwrap();
             f.append(payload).unwrap();
             f.sync().unwrap();
         }
         // Unsynced tail only on tenant a.
-        let mut f = a0.open_append("wal-000001").unwrap();
+        let mut f = a0.open_append("blob-000001").unwrap();
         f.append(b"tail").unwrap();
         drop(f);
 
@@ -317,7 +317,7 @@ mod tests {
             image
                 .open_shard("a", 0)
                 .unwrap()
-                .read("wal-000001")
+                .read("blob-000001")
                 .unwrap(),
             b"aaaa"
         );
@@ -325,7 +325,7 @@ mod tests {
             image
                 .open_shard("b", 0)
                 .unwrap()
-                .read("wal-000001")
+                .read("blob-000001")
                 .unwrap(),
             b"bbbb"
         );
@@ -333,9 +333,9 @@ mod tests {
         image
             .open_shard("a", 0)
             .unwrap()
-            .remove("wal-000001")
+            .remove("blob-000001")
             .unwrap();
-        assert!(a0.read("wal-000001").is_ok());
+        assert!(a0.read("blob-000001").is_ok());
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
         assert!(factory.list_tenants().unwrap().is_empty());
 
         let s = factory.open_shard("plant-a", 1).unwrap();
-        let mut f = s.create("seg-000001").unwrap();
+        let mut f = s.create("blob-000002").unwrap();
         f.append(b"data").unwrap();
         f.sync().unwrap();
         drop(f);
